@@ -1,131 +1,23 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
 The exhaustive searches in this package spend their time in four regular
 loops: pairwise Hamming distances, per-focus agreement masks, the order-2
 coalition scan, and the 2^M subfamily sweep of the brute-force matching
-oracle.  Each kernel exists twice, as an @njit version and a vectorized
-numpy version, selected by the FRAMEPROOF_LAB_BACKEND environment variable
-("numba", "numpy" or "auto", default auto).  Both paths are exact and return
-identical results; benchmarks/bench_kernels.py compares them.
+oracle.  Each kernel is exact.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+_BIT_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
 
 
-_VALID_BACKENDS = ("auto", "numba", "numpy")
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Map a requested backend name to the one that will actually run."""
-    if name is None:
-        name = os.environ.get("FRAMEPROOF_LAB_BACKEND", "auto")
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {name!r}, expected one of {_VALID_BACKENDS}")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
-# ---------------------------------------------------------------------------
-# numba path
-
-
-@njit(cache=True)
-def _min_pairwise_distance_nb(words):  # pragma: no cover - exercised via dispatch
-    m, n = words.shape
-    best = n + 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = 0
-            for k in range(n):
-                if words[i, k] != words[j, k]:
-                    d += 1
-                    if d >= best:
-                        break
-            if d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
-
-
-@njit(cache=True)
-def _agreement_masks_nb(words, focus):  # pragma: no cover
-    m, n = words.shape
-    out = np.zeros(m, dtype=np.uint64)
-    for j in range(m):
-        acc = np.uint64(0)
-        for k in range(n):
-            if words[j, k] == words[focus, k]:
-                acc |= np.uint64(1) << np.uint64(k)
-        out[j] = acc
-    return out
-
-
-@njit(cache=True)
-def _cover_pair_scan_nb(masks, target):  # pragma: no cover
-    m = masks.shape[0]
-    for b in range(m):
-        for a in range(b + 1):
-            if (masks[a] | masks[b]) & target == target:
-                return a, b
-    return -1, -1
-
-
-@njit(cache=True)
-def _max_subfamily_avoiding_nb(supports, m):  # pragma: no cover
-    best_size = -1
-    best_mask = np.uint64(0)
-    nb = supports.shape[0]
-    for raw in range(1 << m):
-        mask = np.uint64(raw)
-        ok = True
-        for i in range(nb):
-            s = supports[i]
-            if mask & s == s:
-                ok = False
-                break
-        if not ok:
-            continue
-        x = mask
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        size = int((x * np.uint64(0x0101010101010101)) >> np.uint64(56))
-        if size > best_size:
-            best_size = size
-            best_mask = mask
-    return best_size, best_mask
-
-
-# ---------------------------------------------------------------------------
-# numpy path
-
-
-def _min_pairwise_distance_np(words: np.ndarray) -> int:
+def min_pairwise_distance(words: np.ndarray) -> int:
+    """Minimum Hamming distance over all word pairs; words is an (M, n) array."""
+    if words.shape[0] < 2:
+        raise ValueError("need at least two words")
+    words = np.ascontiguousarray(words, dtype=np.int64)
     m, n = words.shape
     best = n + 1
     for i in range(m - 1):
@@ -137,76 +29,28 @@ def _min_pairwise_distance_np(words: np.ndarray) -> int:
     return best
 
 
-_BIT_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-
-
-def _agreement_masks_np(words: np.ndarray, focus: int) -> np.ndarray:
-    eq = words == words[focus]
-    return (eq * _BIT_WEIGHTS[: words.shape[1]]).sum(axis=1, dtype=np.uint64)
-
-
-def _cover_pair_scan_np(masks: np.ndarray, target: np.uint64) -> tuple[int, int]:
-    m = masks.shape[0]
-    for b in range(m):
-        row = masks[: b + 1] | masks[b]
-        hits = np.nonzero((row & target) == target)[0]
-        if hits.size:
-            return int(hits[0]), b
-    return -1, -1
-
-
-def _max_subfamily_avoiding_np(supports: np.ndarray, m: int) -> tuple[int, np.uint64]:
-    all_masks = np.arange(1 << m, dtype=np.uint64)
-    alive = np.ones(all_masks.shape, dtype=bool)
-    for s in supports:
-        alive &= (all_masks & s) != s
-    sizes = np.bitwise_count(all_masks).astype(np.int64)
-    sizes[~alive] = -1
-    # arange is ascending, so argmax lands on the smallest qualifying mask
-    best = int(np.argmax(sizes))
-    return int(sizes[best]), all_masks[best]
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def min_pairwise_distance(words: np.ndarray, backend: str | None = None) -> int:
-    """Minimum Hamming distance over all word pairs; words is an (M, n) array."""
-    if words.shape[0] < 2:
-        raise ValueError("need at least two words")
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    if resolve_backend(backend) == "numba":
-        return int(_min_pairwise_distance_nb(words))
-    return _min_pairwise_distance_np(words)
-
-
-def agreement_masks(words: np.ndarray, focus: int, backend: str | None = None) -> np.ndarray:
+def agreement_masks(words: np.ndarray, focus: int) -> np.ndarray:
     """Bitmask of coordinates where each word agrees with words[focus]."""
     words = np.ascontiguousarray(words, dtype=np.int64)
     if words.shape[1] > 64:
         raise ValueError("word length exceeds 64")
-    if resolve_backend(backend) == "numba":
-        return _agreement_masks_nb(words, focus)
-    return _agreement_masks_np(words, focus)
+    eq = words == words[focus]
+    return (eq * _BIT_WEIGHTS[: words.shape[1]]).sum(axis=1, dtype=np.uint64)
 
 
-def cover_pair_scan(
-    masks: np.ndarray, target: int, backend: str | None = None
-) -> tuple[int, int] | None:
+def cover_pair_scan(masks: np.ndarray, target: int) -> tuple[int, int] | None:
     """First pair a <= b (colex order) with masks[a] | masks[b] covering target."""
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
     tgt = np.uint64(target)
-    if resolve_backend(backend) == "numba":
-        a, b = _cover_pair_scan_nb(masks, tgt)
-    else:
-        a, b = _cover_pair_scan_np(masks, tgt)
-    return None if a < 0 else (int(a), int(b))
+    for b in range(masks.shape[0]):
+        row = masks[: b + 1] | masks[b]
+        hits = np.nonzero((row & tgt) == tgt)[0]
+        if hits.size:
+            return int(hits[0]), b
+    return None
 
 
-def max_subfamily_avoiding(
-    supports: list[int] | np.ndarray, m: int, backend: str | None = None
-) -> tuple[int, int]:
+def max_subfamily_avoiding(supports: list[int] | np.ndarray, m: int) -> tuple[int, int]:
     """Largest subset of [0..m) containing no forbidden support, by full 2^m sweep.
 
     Returns (size, member mask); ties break toward the numerically smallest
@@ -217,8 +61,12 @@ def max_subfamily_avoiding(
     arr = np.asarray(sorted(set(int(s) for s in supports)), dtype=np.uint64)
     if arr.size and int(arr[0]) == 0:
         raise ValueError("empty support forbids every subfamily")
-    if resolve_backend(backend) == "numba":
-        size, mask = _max_subfamily_avoiding_nb(arr, m)
-    else:
-        size, mask = _max_subfamily_avoiding_np(arr, m)
-    return int(size), int(mask)
+    all_masks = np.arange(1 << m, dtype=np.uint64)
+    alive = np.ones(all_masks.shape, dtype=bool)
+    for s in arr:
+        alive &= (all_masks & s) != s
+    sizes = np.bitwise_count(all_masks).astype(np.int64)
+    sizes[~alive] = -1
+    # arange is ascending, so argmax lands on the smallest qualifying mask
+    best = int(np.argmax(sizes))
+    return int(sizes[best]), int(all_masks[best])

@@ -97,11 +97,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         obj = code_from_json(_load_json(args.code))
     if args.critical:
-        witness = find_critical_focal(obj, params, threads=args.threads)
+        witness = find_critical_focal(obj, params)
     elif isinstance(obj, SubsetFamily):
-        witness = find_focal_hypergraph(obj, params, threads=args.threads)
+        witness = find_focal_hypergraph(obj, params)
     else:
-        witness = find_focal_code(obj, params, threads=args.threads)
+        witness = find_focal_code(obj, params)
     prop = ("critical-" if args.critical else "") + f"({args.c},{args.s})-frameproof"
     if witness is None:
         _emit({"property": prop, "holds": True, "members": len(obj)}, args.out)
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--critical", action="store_true", help="distinct coalition variant")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

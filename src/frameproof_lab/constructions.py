@@ -73,7 +73,10 @@ def greedy_multiset_partition(
 
     residue = {p: s - cnt for p, cnt in counts.items()}
     parts = c - lam
-    assert sum(residue.values()) == parts * (t - 1)
+    if sum(residue.values()) != parts * (t - 1):
+        raise AssertionError(
+            f"residue sum {sum(residue.values())} != (c-lam)*(t-1) = {parts * (t - 1)}"
+        )
     out: list[int] = []
     for _ in range(parts):
         ranked = sorted(

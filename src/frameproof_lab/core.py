@@ -288,7 +288,8 @@ def lambda_of(c: int, s: int, k: int) -> tuple[int, int]:
         raise ParameterError(f"k={k} must be >= 1")
     t = -(-s * k // c)
     lam = s * k % c or c
-    assert lam * t + (c - lam) * (t - 1) == s * k
+    if lam * t + (c - lam) * (t - 1) != s * k:
+        raise AssertionError(f"lam={lam}, t={t} do not split s*k={s * k} over c={c}")
     return lam, t
 
 

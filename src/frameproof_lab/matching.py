@@ -220,8 +220,8 @@ def matching_number_exact(
     dfs(0)
     family = SubsetFamily(n, tuple(candidates[i] for i in best), t)
     status = "lower-only" if exhausted else "exact"
-    if status == "exact":
-        assert find_violating_collection(family, params) is None
+    if status == "exact" and find_violating_collection(family, params) is not None:
+        raise AssertionError("exact matching family contains a violating collection")
     return MatchingCertificate(len(best), family, status, budget_box.used)
 
 
@@ -500,15 +500,17 @@ def _validate_plan(plan: CyclicPartitionPlan) -> None:
     # internal invariants: partition of all n intervals, caps on every class
     n, s1, s2 = plan.n, plan.s1, plan.s2
     all_starts = [a for cls in plan.classes for a in cls]
-    assert sorted(all_starts) == list(range(1, n + 1))
-    assert len(plan.classes) == plan.gamma
+    if sorted(all_starts) != list(range(1, n + 1)):
+        raise AssertionError(f"class starts {sorted(all_starts)} do not partition 1..{n}")
+    if len(plan.classes) != plan.gamma:
+        raise AssertionError(f"{len(plan.classes)} classes, expected gamma={plan.gamma}")
     for idx in range(len(plan.classes)):
         masks = plan.class_masks(idx)
         for p in range(n):
             bit = 1 << p
             cover = sum(1 for mk in masks if mk & bit)
-            assert cover <= s1, (idx, p + 1, cover)
-            assert len(masks) - cover <= s2, (idx, p + 1, cover)
+            if cover > s1 or len(masks) - cover > s2:
+                raise AssertionError((idx, p + 1, cover))
 
 
 # ---------------------------------------------------------------------------
@@ -529,5 +531,6 @@ def star_family(n: int, t: int, lam: int, s: int) -> SubsetFamily:
     pierce = full_mask(min(size_s, n))
     sets = tuple(mask for mask in enumerate_subsets(n, t) if mask & pierce)
     expected = comb(n, t) - comb(max(n - size_s, 0), t)
-    assert len(sets) == expected
+    if len(sets) != expected:
+        raise AssertionError(f"star family has {len(sets)} sets, expected {expected}")
     return SubsetFamily(n, sets, t)

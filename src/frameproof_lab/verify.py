@@ -13,7 +13,6 @@ index tuple whose reversed sequence is lexicographically smallest.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping, Sequence
@@ -291,21 +290,11 @@ def _scan_foci(
     obj: SubsetFamily | Code,
     params: FrameproofParams,
     distinct: bool,
-    threads: int,
     guards: Guards | None,
 ) -> FocalWitness | None:
     _check_guards(_size(obj), params.c, guards)
     size = _size(obj)
     if distinct and size < params.c + 1:
-        return None
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda f: _focus_witness(obj, f, params, distinct), range(size))
-            )
-        for w in results:
-            if w is not None:
-                return w
         return None
     for focus in range(size):
         w = _focus_witness(obj, focus, params, distinct)
@@ -317,19 +306,19 @@ def _scan_foci(
 def find_focal_hypergraph(
     family: SubsetFamily,
     params: FrameproofParams,
-    threads: int = 1,
+    *,
     guards: Guards | None = None,
 ) -> FocalWitness | None:
     """Least witness violating the threshold property, or None if frameproof."""
     if len(family) == 0:
         raise ParameterError("family must be nonempty")
-    return _scan_foci(family, params, distinct=False, threads=threads, guards=guards)
+    return _scan_foci(family, params, distinct=False, guards=guards)
 
 
 def find_focal_code(
     code: Code,
     params: FrameproofParams,
-    threads: int = 1,
+    *,
     guards: Guards | None = None,
 ) -> FocalWitness | None:
     """Least witness over agreement sets, or None if the code is frameproof."""
@@ -337,19 +326,19 @@ def find_focal_code(
         raise ParameterError("code must be nonempty")
     if code.n > 64:
         raise ParameterError("word length exceeds 64")
-    return _scan_foci(code, params, distinct=False, threads=threads, guards=guards)
+    return _scan_foci(code, params, distinct=False, guards=guards)
 
 
 def find_critical_focal(
     obj: SubsetFamily | Code,
     params: FrameproofParams,
-    threads: int = 1,
+    *,
     guards: Guards | None = None,
 ) -> FocalWitness | None:
     """Like the repeatable search but with pairwise distinct coalition members."""
     if _size(obj) == 0:
         raise ParameterError("input must be nonempty")
-    return _scan_foci(obj, params, distinct=True, threads=threads, guards=guards)
+    return _scan_foci(obj, params, distinct=True, guards=guards)
 
 
 def naive_find_focal(

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from frameproof_lab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -202,14 +204,9 @@ def test_packing_round_trips_through_design_loader(capsys, tmp_path):
     assert code == 0 and json.loads(out)["blocks"] == doc["blocks"]
 
 
-def test_threads_flag_identical_output(capsys, tmp_path):
+def test_threads_flag_is_rejected(capsys, tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({"n": 4, "sets": [[1, 2], [3, 4], [1, 3], [2, 4]]}))
-    results = []
-    for threads in ("1", "3"):
-        code, out, _ = run(
-            capsys, "verify", "--family", str(fam), "--c", "2", "--s", "1",
-            "--threads", threads,
-        )
-        results.append((code, out))
-    assert results[0] == results[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", str(fam), "--c", "2", "--s", "1", "--threads", "3"])
+    assert exc.value.code == 2 and "--threads" in capsys.readouterr().err

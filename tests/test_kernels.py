@@ -1,24 +1,15 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from frameproof_lab import _kernels as kernels
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
 
-
-def test_resolve_backend():
-    assert kernels.resolve_backend("numpy") == "numpy"
-    assert kernels.resolve_backend("auto") in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        kernels.resolve_backend("cuda")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_min_pairwise_distance(backend):
+def test_min_pairwise_distance():
     words = np.array([[1, 1, 1], [1, 1, 2], [3, 3, 3]])
-    assert kernels.min_pairwise_distance(words, backend=backend) == 1
+    assert kernels.min_pairwise_distance(words) == 1
     rng = np.random.default_rng(5)
     big = rng.integers(1, 4, size=(40, 8))
     ref = min(
@@ -26,63 +17,89 @@ def test_min_pairwise_distance(backend):
         for i in range(40)
         for j in range(i + 1, 40)
     )
-    assert kernels.min_pairwise_distance(big, backend=backend) == ref
+    assert kernels.min_pairwise_distance(big) == ref
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_agreement_masks(backend):
+def test_agreement_masks():
     words = np.array([[1, 2, 3], [1, 2, 4], [5, 2, 3]])
-    masks = kernels.agreement_masks(words, 0, backend=backend)
+    masks = kernels.agreement_masks(words, 0)
     assert list(masks) == [0b111, 0b011, 0b110]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cover_pair_scan(backend):
+def test_cover_pair_scan():
     masks = np.array([0b001, 0b010, 0b100, 0b110], dtype=np.uint64)
-    assert kernels.cover_pair_scan(masks, 0b111, backend=backend) == (0, 3)
-    assert kernels.cover_pair_scan(masks, 0b1111, backend=backend) is None
+    assert kernels.cover_pair_scan(masks, 0b111) == (0, 3)
+    assert kernels.cover_pair_scan(masks, 0b1111) is None
     # a single mask covering the target pairs with itself
     solo = np.array([0b11], dtype=np.uint64)
-    assert kernels.cover_pair_scan(solo, 0b11, backend=backend) == (0, 0)
+    assert kernels.cover_pair_scan(solo, 0b11) == (0, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_max_subfamily_avoiding(backend):
+def test_max_subfamily_avoiding():
     # forbid {0,1} and {1,2}: best is {0,2} (size 2, smallest mask 0b101)
-    assert kernels.max_subfamily_avoiding([0b011, 0b110], 3, backend=backend) == (2, 0b101)
-    assert kernels.max_subfamily_avoiding([], 3, backend=backend) == (3, 0b111)
+    assert kernels.max_subfamily_avoiding([0b011, 0b110], 3) == (2, 0b101)
+    assert kernels.max_subfamily_avoiding([], 3) == (3, 0b111)
     with pytest.raises(ValueError):
-        kernels.max_subfamily_avoiding([0], 3, backend=backend)
+        kernels.max_subfamily_avoiding([0], 3)
     with pytest.raises(ValueError):
-        kernels.max_subfamily_avoiding([1], 30, backend=backend)
+        kernels.max_subfamily_avoiding([1], 30)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_random_instances():
+def _ref_distance(words):
+    return min(
+        sum(1 for x, y in zip(u, v) if x != y) for u, v in combinations(words, 2)
+    )
+
+
+def _ref_agreement(words, focus):
+    return [
+        sum(1 << k for k, (x, y) in enumerate(zip(w, words[focus])) if x == y)
+        for w in words
+    ]
+
+
+def _ref_pair_scan(masks, target):
+    # colex order on pairs a <= b: b ascending, then a ascending
+    for b in range(len(masks)):
+        for a in range(b + 1):
+            if (masks[a] | masks[b]) & target == target:
+                return a, b
+    return None
+
+
+def _ref_sweep(supports, m):
+    # largest size first; within a size, combinations come in lexicographic
+    # order, so take the numerically smallest mask explicitly
+    for size in range(m, -1, -1):
+        masks = [
+            sum(1 << i for i in members) for members in combinations(range(m), size)
+        ]
+        ok = [mk for mk in masks if not any(mk & s == s for s in supports)]
+        if ok:
+            return size, min(ok)
+    raise AssertionError("the empty subfamily always qualifies")
+
+
+def test_kernels_match_reference_on_random_instances():
     rng = random.Random(999)
-    np_rng = np.random.default_rng(999)
     for _ in range(25):
         m = rng.randint(2, 30)
         n = rng.randint(1, 16)
-        words = np_rng.integers(1, 5, size=(m, n))
-        assert kernels.min_pairwise_distance(words, backend="numba") == (
-            kernels.min_pairwise_distance(words, backend="numpy")
-        )
+        words = [[rng.randint(1, 4) for _ in range(n)] for _ in range(m)]
+        arr = np.array(words)
+        assert kernels.min_pairwise_distance(arr) == _ref_distance(words)
         focus = rng.randrange(m)
-        a = kernels.agreement_masks(words, focus, backend="numba")
-        b = kernels.agreement_masks(words, focus, backend="numpy")
-        assert list(a) == list(b)
+        assert [int(v) for v in kernels.agreement_masks(arr, focus)] == (
+            _ref_agreement(words, focus)
+        )
     for _ in range(25):
         m = rng.randint(1, 40)
         bits = rng.randint(1, 12)
-        masks = np.array([rng.randrange(1 << bits) for _ in range(m)], dtype=np.uint64)
+        masks = [rng.randrange(1 << bits) for _ in range(m)]
         target = rng.randrange(1, 1 << bits)
-        assert kernels.cover_pair_scan(masks, target, backend="numba") == (
-            kernels.cover_pair_scan(masks, target, backend="numpy")
-        )
+        arr = np.array(masks, dtype=np.uint64)
+        assert kernels.cover_pair_scan(arr, target) == _ref_pair_scan(masks, target)
     for _ in range(25):
         m = rng.randint(1, 12)
         supports = [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, 20))]
-        assert kernels.max_subfamily_avoiding(supports, m, backend="numba") == (
-            kernels.max_subfamily_avoiding(supports, m, backend="numpy")
-        )
+        assert kernels.max_subfamily_avoiding(supports, m) == _ref_sweep(supports, m)

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import frameproof_lab
 from frameproof_lab.core import (
     DisjointnessParams,
     ParameterError,
@@ -180,6 +185,33 @@ def test_cyclic_plan_classes_are_disjoint_collections():
         masks = plan.class_masks(i)
         dp = DisjointnessParams(len(masks), plan.s1 + 1, plan.s2 + 1)
         assert is_disjoint_collection(masks, plan.n, dp)
+
+
+_CORRUPT_PLAN = """
+import dataclasses, sys
+from frameproof_lab.matching import _validate_plan, cyclic_partition_plan
+if not sys.flags.optimize:
+    sys.exit("child must run under -O")
+plan = cyclic_partition_plan(6, 3, 1, 1)
+bad = dataclasses.replace(plan, classes=((1, 4), (2, 5), (3, 5)))
+try:
+    _validate_plan(bad)
+except AssertionError as exc:
+    print("raised", exc)
+"""
+
+
+def test_plan_check_survives_python_O():
+    src = Path(frameproof_lab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_PLAN],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised class starts"), proc.stdout
 
 
 def test_star_family_examples():

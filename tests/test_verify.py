@@ -86,21 +86,6 @@ def test_witness_is_least():
     assert list(w.coalition.indices()) == [2, 3]
 
 
-def test_threads_match_sequential():
-    rng = random.Random(4)
-    for _ in range(20):
-        n = rng.randint(3, 6)
-        pool = list(range(1, 1 << n))
-        rng.shuffle(pool)
-        fam = SubsetFamily(n, tuple(pool[: rng.randint(2, 7)]))
-        params = fp(rng.randint(2, 3), 1)
-        seq = find_focal_hypergraph(fam, params)
-        par = find_focal_hypergraph(fam, params, threads=3)
-        assert (seq is None) == (par is None)
-        if seq is not None:
-            assert seq == par
-
-
 def test_guards():
     fam = SubsetFamily.from_iterables(3, [[1], [2], [3]])
     with pytest.raises(GuardError):
