@@ -5,6 +5,14 @@ property when every focus point (coordinate) is covered at least s times by
 the coalition.  The searches here are exhaustive: a returned witness always
 re-validates by direct counting, and a None answer means no witness exists.
 
+Each focus is decided on a reduced instance of its coverage masks: the masks
+of the other members, compressed to the focus's points, keeping only the
+distinct inclusion-maximal ones (repeatable search) or each distinct mask
+with its count capped at c (distinct search).  Foci with equal reduced
+instances share one verdict within a scan; on a linear code every focus
+does.  The colex search on the full masks runs only at the first violating
+focus, to produce the witness.
+
 Search order is fixed so outputs are reproducible: foci are scanned by index
 and per focus the coalition returned is the colex-least one, i.e. the sorted
 index tuple whose reversed sequence is lexicographically smallest.
@@ -13,6 +21,7 @@ index tuple whose reversed sequence is lexicographically smallest.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping, Sequence
@@ -160,6 +169,8 @@ def validate_witness(
     obj: SubsetFamily | Code, witness: FocalWitness, params: FrameproofParams
 ) -> None:
     """Re-check a witness by direct counting; raises WitnessError if bogus."""
+    if not 0 <= witness.focus < _size(obj):
+        raise WitnessError(f"focus index {witness.focus} out of range")
     masks, kind = _coverage_masks(obj, witness.focus)
     target = _target_mask(obj, witness.focus)
     if kind != witness.kind:
@@ -195,12 +206,18 @@ def _target_mask(obj: SubsetFamily | Code, focus: int) -> int:
     return full_mask(obj.n)
 
 
-def _coverage_masks(obj: SubsetFamily | Code, focus: int) -> tuple[list[int], str]:
-    """Per-index masks of focus points covered by each member/word."""
+def _coverage_masks(
+    obj: SubsetFamily | Code, focus: int, arr: np.ndarray | None = None
+) -> tuple[list[int], str]:
+    """Per-index masks of focus points covered by each member/word.
+
+    arr is the code's word array when the caller already built it.
+    """
     if isinstance(obj, SubsetFamily):
         a = obj.sets[focus]
         return [m & a for m in obj.sets], "hypergraph"
-    arr = obj.to_array()
+    if arr is None:
+        arr = obj.to_array()
     return [int(v) for v in _kernels.agreement_masks(arr, focus)], "code"
 
 
@@ -273,9 +290,13 @@ def _search_cover(
 
 
 def _focus_witness(
-    obj: SubsetFamily | Code, focus: int, params: FrameproofParams, distinct: bool
+    obj: SubsetFamily | Code,
+    focus: int,
+    params: FrameproofParams,
+    distinct: bool,
+    arr: np.ndarray | None = None,
 ) -> FocalWitness | None:
-    masks, kind = _coverage_masks(obj, focus)
+    masks, kind = _coverage_masks(obj, focus, arr)
     found = _search_cover(
         masks, focus, params.c, params.s, _target_mask(obj, focus), distinct
     )
@@ -286,19 +307,71 @@ def _focus_witness(
     return witness
 
 
+def _reduced_key(
+    masks: list[int], focus: int, target: int, c: int, distinct: bool
+) -> tuple[int, tuple]:
+    """Canonical reduced instance of one focus: (k, sorted classes).
+
+    The focus's own index is dropped.  Repeatable search: the distinct
+    inclusion-maximal masks, since a superset covers at least as well and
+    members may repeat (the zero mask survives only when it is the only one:
+    an empty target is covered by any other member).  Distinct search: each
+    distinct mask with its count capped at c.  Masks are compressed to the
+    k target points, bit j for the j-th point.
+    """
+    others = masks[:focus] + masks[focus + 1 :]
+    bits = [1 << (p - 1) for p in points_from_mask(target)]
+    identity = target == full_mask(len(bits))
+
+    def compress(m: int) -> int:
+        return m if identity else sum(1 << j for j, b in enumerate(bits) if m & b)
+
+    if distinct:
+        classes = [(compress(m), min(cnt, c)) for m, cnt in Counter(others).items()]
+    else:
+        maximal: list[int] = []
+        for m in sorted(set(others), key=int.bit_count, reverse=True):
+            if all(m & big != m for big in maximal):
+                maximal.append(m)
+        classes = [compress(m) for m in maximal]
+    return len(bits), tuple(sorted(classes))
+
+
+def _reduced_verdict(key: tuple[int, tuple], c: int, s: int, distinct: bool) -> bool:
+    """Whether the reduced instance admits a covering coalition."""
+    k, classes = key
+    if distinct:
+        masks = [m for m, cnt in classes for _ in range(cnt)]
+    else:
+        masks = list(classes)
+    return _search_cover(masks, -1, c, s, full_mask(k), distinct) is not None
+
+
 def _scan_foci(
     obj: SubsetFamily | Code,
     params: FrameproofParams,
     distinct: bool,
     guards: Guards | None,
 ) -> FocalWitness | None:
-    _check_guards(_size(obj), params.c, guards)
+    if isinstance(obj, Code) and obj.n > 64:
+        raise ParameterError("word length exceeds 64")
     size = _size(obj)
+    _check_guards(size, params.c, guards)
     if distinct and size < params.c + 1:
         return None
+    arr = obj.to_array() if isinstance(obj, Code) else None
+    verdicts: dict[tuple[int, tuple], bool] = {}
     for focus in range(size):
-        w = _focus_witness(obj, focus, params, distinct)
-        if w is not None:
+        masks, _ = _coverage_masks(obj, focus, arr)
+        key = _reduced_key(masks, focus, _target_mask(obj, focus), params.c, distinct)
+        if key not in verdicts:
+            verdicts[key] = _reduced_verdict(key, params.c, params.s, distinct)
+        if verdicts[key]:
+            w = _focus_witness(obj, focus, params, distinct, arr)
+            if w is None:
+                raise AssertionError(
+                    f"reduced instance of focus {focus} has a cover, the full search none"
+                )
             return w
     return None
 
@@ -324,8 +397,6 @@ def find_focal_code(
     """Least witness over agreement sets, or None if the code is frameproof."""
     if len(code) == 0:
         raise ParameterError("code must be nonempty")
-    if code.n > 64:
-        raise ParameterError("word length exceeds 64")
     return _scan_foci(code, params, distinct=False, guards=guards)
 
 

@@ -210,3 +210,11 @@ def test_threads_flag_is_rejected(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--family", str(fam), "--c", "2", "--s", "1", "--threads", "3"])
     assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
+
+
+def test_critical_verify_of_long_words_is_a_parameter_error(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    words = [[1] * 65, [2] * 65, [1] * 64 + [2]]
+    path.write_text(json.dumps({"q": 2, "n": 65, "words": words}))
+    code, out, err = run(capsys, "verify", "--code", str(path), "--c", "2", "--s", "1", "--critical")
+    assert code == 2 and out == "" and "exceeds 64" in err

@@ -377,3 +377,134 @@ def test_midsize_code_verification_all_routes():
     assert find_focal_code(code, params) is None
     assert find_critical_focal(code, params) is None
     assert naive_find_focal(code, params) is None
+
+
+def test_validate_witness_rejects_focus_out_of_range():
+    fam = SubsetFamily.from_iterables(6, [[1, 2, 3], [4, 5, 6], [1, 4, 5]])
+    code = Code(2, 2, ((1, 1), (1, 2), (2, 1)))
+    for obj, kind in ((fam, "hypergraph"), (code, "code")):
+        # a coalition made of the last member, read as focus -1, covers it
+        wrapped = FocalWitness(kind, -1, IndexMultiset.from_indices([2, 2]), False)
+        with pytest.raises(WitnessError, match="out of range"):
+            validate_witness(obj, wrapped, fp(2, 1))
+        past = FocalWitness(kind, len(obj), IndexMultiset.from_indices([0, 1]), False)
+        with pytest.raises(WitnessError, match="out of range"):
+            validate_witness(obj, past, fp(2, 1))
+
+
+def test_long_words_are_parameter_errors_on_every_route():
+    code = Code(2, 65, tuple(tuple([x] * 65) for x in (1, 2)) + ((1,) * 64 + (2,),))
+    for search in (find_focal_code, find_critical_focal):
+        with pytest.raises(ParameterError, match="exceeds 64"):
+            search(code, fp(2, 1))
+
+
+def _colex_least_witness(obj, params, distinct):
+    """First focus with a cover, and its colex-least coalition, by brute force."""
+    from itertools import combinations, combinations_with_replacement
+
+    pick = combinations if distinct else combinations_with_replacement
+    size = len(obj)
+    for focus in range(size):
+        if isinstance(obj, SubsetFamily):
+            kind, target = "hypergraph", obj.sets[focus]
+            masks = [m & target for m in obj.sets]
+        else:
+            kind, target = "code", (1 << obj.n) - 1
+            masks = [agreement_mask(obj.words[focus], w) for w in obj.words]
+        covers = [
+            combo
+            for combo in pick([i for i in range(size) if i != focus], params.c)
+            if all(
+                sum(1 for i in combo if masks[i] & (1 << (p - 1))) >= params.s
+                for p in points_from_mask(target)
+            )
+        ]
+        if covers:
+            least = min(covers, key=lambda combo: combo[::-1])
+            return FocalWitness(kind, focus, IndexMultiset.from_indices(least), distinct)
+    return None
+
+
+def _check_against_colex_brute(obj, params):
+    searches = (
+        (find_focal_hypergraph if isinstance(obj, SubsetFamily) else find_focal_code, False),
+        (find_critical_focal, True),
+    )
+    for search, distinct in searches:
+        got = search(obj, params, guards=Guards(c=8, members=64))
+        want = _colex_least_witness(obj, params, distinct)
+        got_json = None if got is None else got.to_json()
+        want_json = None if want is None else want.to_json()
+        assert got_json == want_json, (obj, params, distinct)
+        naive = naive_find_focal(obj, params, distinct)
+        assert (None if naive is None else naive.focus) == (None if got is None else got.focus)
+
+
+def test_reduced_search_gives_the_colex_least_witness():
+    # deciding each focus on its reduced instance must not change the witness
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        sets = rng.sample(range(1 << n), min(1 << n, rng.randint(1, 7)))
+        c = rng.randint(2, 4)
+        _check_against_colex_brute(SubsetFamily(n, tuple(sets)), fp(c, rng.randint(1, c - 1)))
+    for _ in range(300):
+        q, n = rng.randint(2, 3), rng.randint(1, 4)
+        size = rng.randint(1, min(7, q**n))
+        words = set()
+        while len(words) < size:
+            words.add(tuple(rng.randint(1, q) for _ in range(n)))
+        c = rng.randint(2, 4)
+        _check_against_colex_brute(Code(q, n, tuple(words)), fp(c, rng.randint(1, c - 1)))
+
+
+def test_reduced_search_named_cases():
+    fam = SubsetFamily.from_iterables
+    # an empty member is covered by any one other member
+    _check_against_colex_brute(fam(3, [[1, 2], [], [2, 3]]), fp(2, 1))
+    _check_against_colex_brute(fam(3, [[1, 2], [], [2, 3]]), fp(3, 2))
+    # all-zero coverage: no other member meets the focus
+    _check_against_colex_brute(fam(3, [[1], [2], [3]]), fp(2, 1))
+    _check_against_colex_brute(Code(3, 2, ((1, 1), (2, 2), (3, 3))), fp(3, 1))
+    # one coverage class holds more than c members
+    crowd = fam(3, [[1], [1, 2], [1, 3], [1, 2, 3], [2, 3]])
+    _check_against_colex_brute(crowd, fp(2, 1))
+    _check_against_colex_brute(crowd, fp(3, 2))
+    # size == c + 1 and a single member
+    _check_against_colex_brute(fam(4, [[1, 2], [3, 4], [1, 3], [2, 4]]), fp(3, 1))
+    _check_against_colex_brute(fam(2, [[1, 2]]), fp(2, 1))
+    _check_against_colex_brute(Code(2, 3, ((1, 2, 1),)), fp(2, 1))
+    # the zero mask stays only when it is the only coverage class
+    from frameproof_lab.verify import _reduced_key
+
+    assert _reduced_key([0, 0, 0], 0, 0, 2, False) == (0, (0,))
+    assert _reduced_key([0b110, 0b010, 0, 0b100], 0, 0b110, 2, False) == (2, (0b01, 0b10))
+    assert _reduced_key([0b110, 0b010, 0, 0b110], 0, 0b110, 2, False) == (2, (0b11,))
+    assert _reduced_key([0b11, 0b01, 0b01, 0b01, 0], 0, 0b11, 2, True) == (2, ((0, 1), (1, 2)))
+
+
+def test_linear_code_runs_one_reduced_search(monkeypatch):
+    # agreement patterns of a linear code are the same at every focus, so a
+    # scan decides all 49 foci of RS(7,7,2) with a single reduced search
+    import frameproof_lab.verify as verify
+
+    rng = random.Random(77)
+    base = rs_code(7, 7, 2)
+    cols = list(range(base.n))
+    rng.shuffle(cols)
+    syms = [rng.sample(range(1, base.q + 1), base.q) for _ in cols]
+    words = [tuple(syms[i][w[j] - 1] for i, j in enumerate(cols)) for w in base.words]
+    rng.shuffle(words)
+    code = Code(base.q, base.n, tuple(words))
+
+    calls = []
+    search = verify._reduced_verdict
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(verify, "_reduced_verdict", counted)
+    assert find_focal_code(code, fp(3, 1)) is None
+    assert len(code) == 49 and len(calls) == 1
