@@ -3,7 +3,8 @@
 The exhaustive searches in this package spend their time in four regular
 loops: pairwise Hamming distances, per-focus agreement masks, the order-2
 coalition scan, and the 2^M subfamily sweep of the brute-force matching
-oracle.  Each kernel is exact.
+oracle.  The sweep runs over the inclusion-minimal antichain of the
+forbidden supports, in uint32 masks with int8 sizes.  Each kernel is exact.
 """
 
 from __future__ import annotations
@@ -50,22 +51,40 @@ def cover_pair_scan(masks: np.ndarray, target: int) -> tuple[int, int] | None:
     return None
 
 
+def _minimal_antichain(supports: np.ndarray) -> np.ndarray:
+    """The inclusion-minimal members of a sorted array of distinct supports."""
+    if supports.size < 2:
+        return supports
+    keep = np.ones(supports.shape, dtype=bool)
+    # pairwise containment test in row blocks of about 1 M cells
+    step = max(1, (1 << 20) // supports.size)
+    for lo in range(0, supports.size, step):
+        rows = supports[lo : lo + step, None]
+        inside = ((rows & supports) == supports) & (rows != supports)
+        keep[lo : lo + step] = ~inside.any(axis=1)
+    return supports[keep]
+
+
 def max_subfamily_avoiding(supports: list[int] | np.ndarray, m: int) -> tuple[int, int]:
     """Largest subset of [0..m) containing no forbidden support, by full 2^m sweep.
 
     Returns (size, member mask); ties break toward the numerically smallest
-    mask.  m is capped at 24 to bound the sweep.
+    mask.  m is capped at 24 to bound the sweep.  The supports are first
+    reduced to their inclusion-minimal antichain, which leaves the set of
+    avoiding subsets unchanged; a support reaching outside [0..m) forbids
+    nothing.
     """
     if not 0 <= m <= 24:
         raise ValueError(f"subfamily sweep supports m <= 24, got {m}")
-    arr = np.asarray(sorted(set(int(s) for s in supports)), dtype=np.uint64)
-    if arr.size and int(arr[0]) == 0:
+    distinct = sorted(set(int(s) for s in supports))
+    if distinct and distinct[0] == 0:
         raise ValueError("empty support forbids every subfamily")
-    all_masks = np.arange(1 << m, dtype=np.uint64)
+    arr = np.asarray([s for s in distinct if not s >> m], dtype=np.uint32)
+    all_masks = np.arange(1 << m, dtype=np.uint32)
     alive = np.ones(all_masks.shape, dtype=bool)
-    for s in arr:
+    for s in _minimal_antichain(arr):
         alive &= (all_masks & s) != s
-    sizes = np.bitwise_count(all_masks).astype(np.int64)
+    sizes = np.bitwise_count(all_masks).astype(np.int8)
     sizes[~alive] = -1
     # arange is ascending, so argmax lands on the smallest qualifying mask
     best = int(np.argmax(sizes))

@@ -367,6 +367,11 @@ def _embed_mask(pattern_edge: int, verts: tuple[int, ...]) -> int:
     return mask
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ParameterError(f"budget {budget} must be >= 0")
+
+
 def matching_complement_pattern(k: int, c: int, s: int) -> SubsetFamily:
     """The t-subsets of [k] outside an extremal collection-free family."""
     lam, t = lambda_of(c, s, k)
@@ -394,6 +399,7 @@ def induced_packing_family(
     with the first embedding passing all packing conditions against the
     accepted copies.  budget caps the number of vertex sets examined.
     """
+    _check_budget(budget)
     pattern = matching_complement_pattern(k, c, s)
     t = pattern.uniform_k
     assert t is not None
@@ -521,6 +527,7 @@ def faithful_code_family(
     """
     if q < 2:
         raise ParameterError(f"alphabet size q={q} must be >= 2")
+    _check_budget(budget)
     pattern = matching_complement_pattern(n, c, s)
     t = pattern.uniform_k
     assert t is not None

@@ -3,9 +3,13 @@
 m(n,t,lam;k1,k2) is the maximum size of a t-uniform family on [n] containing
 no lam repeatable members whose per-point multiplicities all fall between
 lam-k2+1 and k1-1.  The solver is a branch-and-bound over the colex list of
-t-subsets; legality of an inclusion is decided by an incremental violation
-oracle restricted to collections through the new set.  A brute-force sweep
-over all subfamilies doubles as an independent cross-check on tiny instances.
+t-subsets.  It first compiles the instance once: one count DFS collects the
+inclusion-minimal violating supports (sets of candidate indices carrying a
+qualifying collection), each registered at its highest index.  Legality of
+an inclusion is then a bitmask test against the chosen indices.  The
+count-DFS violation oracle stays as the exact-certificate re-check, and a
+brute-force sweep over all subfamilies doubles as an independent
+cross-check on tiny instances.
 """
 
 from __future__ import annotations
@@ -145,8 +149,75 @@ class _Budget:
         self.used = 0
 
     def tick(self) -> bool:
+        """Count one node, or refuse it (uncounted) once the limit is spent."""
+        if self.limit is not None and self.used >= self.limit:
+            return False
         self.used += 1
-        return self.limit is None or self.used <= self.limit
+        return True
+
+
+def _minimal_supports(
+    candidates: Sequence[int], n: int, params: DisjointnessParams
+) -> list[int]:
+    """Inclusion-minimal supports of the qualifying lam-multisets, ascending.
+
+    A support is the set of distinct candidate indices of a multiset, as a
+    bitmask over candidate indices.  One count DFS walks the non-decreasing
+    index multisets under _find_violating's per-point rules; candidates
+    through a point already at max_count are blocked by per-point masks.  A
+    branch is cut as soon as its partial support contains a support already
+    found: supports found since the partial support last grew lie in its
+    subtree, so only the partial support itself and the submasks holding the
+    new index can be among them.
+    """
+    lam, lo, hi = params.lam, params.min_count, params.max_count
+    points = [[p for p in range(n) if mask >> p & 1] for mask in candidates]
+    through = [0] * n
+    for i, pts in enumerate(points):
+        for p in pts:
+            through[p] |= 1 << i
+    everything = (1 << len(candidates)) - 1
+    counts = [0] * n
+    found: set[int] = set()
+
+    def dfs(start_bit: int, remaining: int, support: int, blocked: int) -> None:
+        if lo and min(counts) + remaining < lo:
+            return
+        if remaining == 0:
+            found.add(support)
+            return
+        free = everything & ~blocked & -start_bit
+        while free:
+            bit = free & -free
+            free ^= bit
+            grown = support | bit
+            if grown != support:
+                if support in found:
+                    continue
+                sub = support  # walk the submasks of support, joined with bit
+                while sub and (sub | bit) not in found:
+                    sub = (sub - 1) & support
+                if (sub | bit) in found:
+                    continue
+            pts = points[bit.bit_length() - 1]
+            full = blocked
+            for p in pts:
+                counts[p] += 1
+                if counts[p] == hi:
+                    full |= through[p]
+            dfs(bit, remaining - 1, grown, full)
+            for p in pts:
+                counts[p] -= 1
+
+    dfs(1, lam, 0, everything if hi == 0 else 0)
+    minimal = []
+    for support in found:
+        sub = (support - 1) & support  # walk the proper submasks
+        while sub and sub not in found:
+            sub = (sub - 1) & support
+        if not sub:
+            minimal.append(support)
+    return sorted(minimal)
 
 
 def matching_number_exact(
@@ -157,10 +228,18 @@ def matching_number_exact(
     """Branch-and-bound value of m(n,t,lam;k1,k2) with an extremal family.
 
     Short-circuits: if every collection qualifies the value is 0; if none can
-    exist the value is C(n,t).  Otherwise include/exclude branching over the
-    colex t-subset list, bounded by remaining candidates and the closed-form
-    upper bound.  A budget overrun downgrades the status to "lower-only".
+    exist the value is C(n,t).  Otherwise the inclusion-minimal violating
+    supports are compiled once, each registered at its highest candidate
+    index with that bit cleared.  Include/exclude branching then walks the
+    colex t-subset list in increasing index order from a legal prefix, so
+    candidate i is legal iff no support registered at i lies inside the
+    chosen-index bitmask.  The search is bounded by remaining candidates and
+    the closed-form upper bound.  budget caps the branch-and-bound nodes
+    (the compile is not counted); running out downgrades the status to
+    "lower-only", and explored never exceeds the budget.
     """
+    if budget is not None and budget < 0:
+        raise ParameterError(f"node budget {budget} must be >= 0")
     n, t, params = instance.n, instance.t, instance.params
     total = comb(n, t)
     if total > subset_cap:
@@ -180,40 +259,38 @@ def matching_number_exact(
             if entry.direction == "upper" and entry.applicable:
                 cap = min(cap, int(entry.value))
 
+    registered: list[list[int]] = [[] for _ in candidates]
+    for support in _minimal_supports(candidates, n, params):
+        top = support.bit_length() - 1
+        registered[top].append(support ^ (1 << top))
+
     best: list[int] = []
     chosen: list[int] = []
+    chosen_mask = 0
     budget_box = _Budget(budget)
     exhausted = False
 
     def dfs(i: int) -> bool:
         """Returns True when the search can stop (cap reached or budget out)."""
-        nonlocal best, exhausted
+        nonlocal best, chosen_mask, exhausted
         while i < len(candidates):
             if not budget_box.tick():
                 exhausted = True
                 return True
             if len(chosen) + (len(candidates) - i) <= len(best):
                 return False
-            mask = candidates[i]
-            if (
-                _find_violating(
-                    [candidates[j] for j in chosen] + [mask],
-                    n,
-                    params,
-                    must_include=len(chosen),
-                )
-                is None
-            ):
+            outside = ~chosen_mask
+            if all(rest & outside for rest in registered[i]):
                 chosen.append(i)
+                chosen_mask |= 1 << i
                 if len(chosen) > len(best):
                     best = list(chosen)
                     if len(best) == cap:
-                        chosen.pop()
                         return True
                 if dfs(i + 1):
-                    chosen.pop()
                     return True
                 chosen.pop()
+                chosen_mask ^= 1 << i
             i += 1
         return False
 

@@ -70,6 +70,26 @@ def test_matching_inf_mode_and_budget(capsys):
         "--budget", "2",
     )
     assert code == 1 and json.loads(out)["status"] == "lower-only"
+    assert json.loads(out)["explored"] == 2
+
+
+def test_negative_budget_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        "matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "2", "--k2", "2",
+        "--budget", "-3",
+    )
+    assert code == 2 and out == "" and "budget" in err
+    code, out, err = run(
+        capsys, "construct", "faithful", "--n", "4", "--c", "3", "--s", "2", "--q", "4",
+        "--budget", "-1",
+    )
+    assert code == 2 and out == "" and "budget" in err
+    code, out, err = run(
+        capsys, "construct", "induced", "--k", "3", "--c", "4", "--s", "2", "--n", "7",
+        "--budget", "-1",
+    )
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_construct_rs_round_trips_through_verify(capsys, tmp_path):

@@ -222,6 +222,13 @@ def test_induced_packing_examples():
     assert len(packing3.copies) == 0 and len(family3) == 0
 
 
+def test_negative_budgets_rejected():
+    with pytest.raises(ParameterError):
+        induced_packing_family(3, 4, 2, 7, budget=-1)
+    with pytest.raises(ParameterError):
+        faithful_code_family(4, 3, 2, 4, budget=-1)
+
+
 def test_induced_packing_seeded():
     p1, f1 = induced_packing_family(3, 4, 2, 8, seed=5)
     p2, f2 = induced_packing_family(3, 4, 2, 8, seed=5)

@@ -43,6 +43,26 @@ def test_max_subfamily_avoiding():
         kernels.max_subfamily_avoiding([0], 3)
     with pytest.raises(ValueError):
         kernels.max_subfamily_avoiding([1], 30)
+    # a support reaching outside [0..m) forbids nothing
+    assert kernels.max_subfamily_avoiding([0b1000], 3) == (3, 0b111)
+
+
+def test_max_subfamily_avoiding_nested_and_duplicate_supports():
+    # 0b001 alone decides: every other support contains it
+    supports = [0b001, 0b011, 0b111, 0b011]
+    assert kernels.max_subfamily_avoiding(supports, 3) == (2, 0b110)
+    assert kernels.max_subfamily_avoiding(supports, 3) == _ref_sweep(supports, 3)
+    supports = [0b0110, 0b1110, 0b0111, 0b1001, 0b1001, 0b1101]
+    assert kernels.max_subfamily_avoiding(supports, 4) == _ref_sweep(supports, 4)
+
+
+def test_max_subfamily_avoiding_m20():
+    # forbid each pair {2i, 2i+1}, plus supersets of some of them: one
+    # point per pair survives, the smallest mask takes the even points
+    pairs = [0b11 << (2 * i) for i in range(10)]
+    nested = [0b111, 0b1111, (1 << 20) - 1, 0b11 << 18]
+    assert kernels.max_subfamily_avoiding(pairs + nested, 20) == (10, 0x55555)
+    assert kernels.max_subfamily_avoiding([], 20) == (20, (1 << 20) - 1)
 
 
 def _ref_distance(words):

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from frameproof_lab.core import (
 )
 from frameproof_lab.matching import (
     MatchingInstance,
+    _minimal_supports,
     cyclic_partition_plan,
     find_violating_collection,
     matching_closed_bounds,
@@ -91,6 +93,23 @@ def test_matching_budget_lower_only():
     assert cert.status == "lower-only"
     assert cert.value <= 10
     assert find_violating_collection(cert.family, DisjointnessParams(2, 2, 2)) is None
+
+
+def test_lower_only_explored_equals_budget():
+    # the node refused at the limit is not counted
+    for budget in (0, 1, 3, 2500):
+        cert = matching_number_exact(inst(6, 3, 4, 3, 3), budget=budget)
+        assert cert.status == "lower-only"
+        assert cert.explored == budget
+    assert matching_number_exact(inst(6, 3, 4, 3, 3), budget=0).value == 0
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ParameterError):
+        matching_number_exact(inst(4, 2, 2, 2, 2), budget=-1)
+    # also on the short-circuit paths
+    with pytest.raises(ParameterError):
+        matching_number_exact(inst(4, 2, 1, 2, 2), budget=-3)
 
 
 def test_matching_subset_cap():
@@ -277,3 +296,149 @@ def test_more_divisible_exact_values():
     ]:
         cert = matching_number_exact(inst(n, t, lam, k1, k2))
         assert cert.status == "exact" and cert.value == want
+
+
+# ---------------------------------------------------------------------------
+# the compiled violation oracle
+
+
+def _ref_minimal_supports(candidates, n, params):
+    # every qualifying lam-multiset, from the collection predicate itself
+    supports = set()
+    for combo in combinations_with_replacement(range(len(candidates)), params.lam):
+        if is_disjoint_collection([candidates[i] for i in combo], n, params):
+            supports.add(sum(1 << i for i in set(combo)))
+    return sorted(
+        s for s in supports if not any(r != s and r & s == r for r in supports)
+    )
+
+
+def _compiled_legal(supports, chosen_mask, i):
+    # each support registered at its highest index, with that bit cleared
+    rests = [s ^ (1 << i) for s in supports if s.bit_length() - 1 == i]
+    return all(rest & ~chosen_mask for rest in rests)
+
+
+def _oracle_cases():
+    rng = random.Random(4242)
+    cases = []
+    while len(cases) < 60:
+        n = rng.randint(2, 6)
+        t = rng.randint(1, n)
+        if comb(n, t) > 20:
+            continue
+        lam = rng.randint(1, 5)
+        k1 = rng.choice([None, rng.randint(1, 5)])
+        k2 = rng.choice([None, rng.randint(1, 5)])
+        cases.append((n, t, lam, k1, k2))
+    # the m-table cells (c,s,k) = (4,1,7), (5,4,7), (3,1,8), (5,1,8), (4,3,8)
+    # as (k, t, lam, s+1, c-s+1)
+    cases += [(7, 2, 3, 2, 4), (7, 6, 3, 5, 2), (8, 3, 2, 2, 3), (8, 2, 3, 2, 5),
+              (8, 6, 4, 4, 2)]
+    return cases
+
+
+def test_compiled_supports_are_the_minimal_qualifying_supports():
+    for n, t, lam, k1, k2 in _oracle_cases():
+        params = DisjointnessParams(lam, k1, k2)
+        if params.vacuous or not params.feasible:
+            continue
+        candidates = enumerate_subsets(n, t)
+        if comb(len(candidates) + lam - 1, lam) > 40000:
+            continue
+        assert _minimal_supports(candidates, n, params) == _ref_minimal_supports(
+            candidates, n, params
+        ), (n, t, lam, k1, k2)
+
+
+def test_compiled_legality_matches_reference_oracle():
+    rng = random.Random(1729)
+    checked = 0
+    for n, t, lam, k1, k2 in _oracle_cases():
+        params = DisjointnessParams(lam, k1, k2)
+        if params.vacuous or not params.feasible:
+            continue
+        candidates = enumerate_subsets(n, t)
+        supports = _minimal_supports(candidates, n, params)
+        for _ in range(6):
+            # a random legal prefix, grown in increasing index order
+            chosen = []
+            for i in range(len(candidates)):
+                if rng.random() < 0.5:
+                    continue
+                fam = SubsetFamily(n, tuple(candidates[j] for j in chosen + [i]), t)
+                if find_violating_collection(fam, params, must_include=len(chosen)) is None:
+                    chosen.append(i)
+            cut = rng.randint(0, len(chosen))
+            prefix = chosen[:cut]
+            mask = sum(1 << j for j in prefix)
+            start = prefix[-1] + 1 if prefix else 0
+            for i in range(start, len(candidates)):
+                fam = SubsetFamily(n, tuple(candidates[j] for j in prefix + [i]), t)
+                ref = find_violating_collection(fam, params, must_include=len(prefix)) is None
+                assert _compiled_legal(supports, mask, i) == ref, (n, t, lam, k1, k2, prefix, i)
+                checked += 1
+    assert checked > 500
+
+
+def test_compile_prunes_supersets_of_found_supports():
+    # count the nodes of the compile's DFS: at (6,2,5) the superset prune
+    # cuts them from 326 to 106
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_qualname == "_minimal_supports.<locals>.dfs":
+            nodes += 1
+
+    params = DisjointnessParams(4, 3, 5)  # the m-table cell (c,s,k) = (6,2,5)
+    sys.setprofile(profile)
+    try:
+        supports = _minimal_supports(enumerate_subsets(5, 2), 5, params)
+    finally:
+        sys.setprofile(None)
+    assert len(supports) == 15
+    assert 0 < nodes <= 106
+
+
+# m(n,t,lam;k1,k2) at node budget 2500, as the per-node _find_violating
+# solver reported them; explored of a lower-only cell is the budget itself
+PINNED_CELLS = {
+    (6, 3, 4, 3, 3): {
+        "value": 10,
+        "status": "lower-only",
+        "explored": 2500,
+        "family": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5],
+                   [2, 3, 5], [1, 4, 5], [2, 4, 5], [3, 4, 5]],
+    },
+    (6, 4, 6, 5, 3): {
+        "value": 10,
+        "status": "exact",
+        "explored": 1726,
+        "family": [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5], [1, 3, 4, 5], [1, 2, 3, 6],
+                   [1, 2, 4, 6], [1, 3, 4, 6], [1, 2, 5, 6], [1, 3, 5, 6], [1, 4, 5, 6]],
+    },
+    (6, 2, 6, 3, 5): {
+        "value": 10,
+        "status": "exact",
+        "explored": 2064,
+        "family": [[1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [1, 5], [2, 5],
+                   [3, 5], [4, 5]],
+    },
+    (8, 6, 4, 4, 2): {
+        "value": 18,
+        "status": "lower-only",
+        "explored": 2500,
+        "family": [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], [1, 2, 3, 4, 6, 7],
+                   [1, 2, 3, 5, 6, 7], [1, 2, 4, 5, 6, 7], [1, 3, 4, 5, 6, 7],
+                   [2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 8], [1, 2, 3, 4, 6, 8],
+                   [1, 2, 3, 5, 6, 8], [1, 2, 4, 5, 6, 8], [1, 3, 4, 5, 6, 8],
+                   [2, 3, 4, 5, 6, 8], [1, 2, 3, 4, 7, 8], [1, 2, 3, 5, 7, 8],
+                   [1, 2, 4, 5, 7, 8], [1, 3, 4, 5, 7, 8], [2, 3, 4, 5, 7, 8]],
+    },
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_CELLS))
+def test_pinned_certificates_at_budget_2500(cell):
+    assert matching_number_exact(inst(*cell), budget=2500).to_json() == PINNED_CELLS[cell]
