@@ -3,7 +3,8 @@
 The exhaustive searches in this package spend their time in four regular
 loops: pairwise Hamming distances, per-focus agreement masks, the order-2
 coalition scan, and the 2^M subfamily sweep of the brute-force matching
-oracle.  The sweep runs over the inclusion-minimal antichain of the
+oracle.  Distances are counted per coordinate in row blocks of about 256 K
+cells.  The sweep runs over the inclusion-minimal antichain of the
 forbidden supports, in uint32 masks with int8 sizes.  Each kernel is exact.
 """
 
@@ -12,21 +13,41 @@ from __future__ import annotations
 import numpy as np
 
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
+# cells per block of the pairwise distance count
+_DISTANCE_BLOCK = 1 << 18
 
 
 def min_pairwise_distance(words: np.ndarray) -> int:
-    """Minimum Hamming distance over all word pairs; words is an (M, n) array."""
+    """Minimum Hamming distance over all word pairs; words is an (M, n) array.
+
+    Symbols are replaced by their ranks among the distinct symbols, and
+    mismatches are counted coordinate by coordinate into blocks of about
+    256 K cells, each a run of rows against every later word, in the
+    narrowest unsigned type that holds n + 1.  A block holding distance 0
+    ends the scan.
+    """
+    words = np.asarray(words)
     if words.shape[0] < 2:
         raise ValueError("need at least two words")
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    m, n = words.shape
-    best = n + 1
-    for i in range(m - 1):
-        d = int((words[i + 1 :] != words[i]).sum(axis=1).min())
-        if d < best:
-            best = d
-            if best == 0:
-                return 0
+    # only equality counts, so compare dense symbol ranks in the narrowest type
+    _, ranks = np.unique(words, return_inverse=True)
+    ranks = ranks.reshape(words.shape)
+    cols = np.ascontiguousarray(ranks.T, dtype=np.min_scalar_type(ranks.max(initial=0)))
+    n, m = cols.shape
+    dtype = np.min_scalar_type(n + 1)  # uint8 up to n = 254, then uint16
+    step = max(1, _DISTANCE_BLOCK // m)
+    best = n
+    for lo in range(0, m - 1, step):
+        hi = min(lo + step, m - 1)
+        # row i of the block against word j sits at [i - lo, j - lo - 1]
+        counts = np.zeros((hi - lo, m - lo - 1), dtype=dtype)
+        for col in cols:
+            counts += col[lo:hi, None] != col[None, lo + 1 :]
+        # mask the pairs j <= i, all in the leading square
+        counts[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = n + 1
+        best = min(best, int(counts.min()))
+        if best == 0:
+            return 0
     return best
 
 

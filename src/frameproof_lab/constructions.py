@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import _kernels
 from .core import (
@@ -30,7 +32,7 @@ from .core import (
 )
 from .gf import GF
 from .matching import MatchingInstance, matching_number_exact
-from .verify import Code, FocalWitness, Guards, agreement_mask, find_focal_hypergraph
+from .verify import Code, FocalWitness, Guards, find_focal_hypergraph
 
 MAX_CODEWORDS = 1 << 20
 
@@ -103,8 +105,11 @@ def greedy_multiset_partition(
 def rs_code(q: int, n: int, t: int) -> Code:
     """Evaluations of all degree-<t polynomials at the first n field elements.
 
-    Symbols are field elements shifted to 1..q.  The minimum distance is
-    computed (pairwise for small codes, by nonzero-weight scan otherwise) and
+    Message m has coefficient j equal to the j-th base-q digit of m, and
+    symbols are field elements shifted to 1..q.  All q^t words are built at
+    once: level j adds the q x n table of c * x^j to every word of the
+    levels below.  The minimum distance (pairwise up to 4096 words, the
+    least nonzero weight above, which linearity makes the distance) is
     checked to equal n-t+1 before returning.
     """
     if t < 1:
@@ -117,28 +122,21 @@ def rs_code(q: int, n: int, t: int) -> Code:
     size = q**t
     if size > MAX_CODEWORDS:
         raise GuardError(f"q^t = {size} codewords exceed the cap {MAX_CODEWORDS}")
-    words = []
-    for msg in range(size):
-        coeffs = []
-        m = msg
-        for _ in range(t):
-            coeffs.append(m % q)
-            m //= q
-        words.append(tuple(field.eval_poly(coeffs, x) + 1 for x in range(n)))
-    code = Code(q, n, tuple(words))
+    words = np.zeros((1, n), dtype=np.int64)
+    for j in range(t):
+        powers = [field.pow(x, j) for x in range(n)]
+        table = np.array([[field.mul(c, xj) for xj in powers] for c in range(q)], dtype=np.int64)
+        # message c * q^j + m extends the word of message m < q^j
+        words = field.add_arrays(table[:, None, :], words[None, :, :]).reshape(-1, n)
+    code = Code(q, n, tuple(map(tuple, (words + 1).tolist())))
 
     if size <= 4096:
-        dist = _kernels.min_pairwise_distance(code.to_array())
+        dist = code.min_distance
     else:
-        dist = n
-        for msg in range(1, size):
-            coeffs = []
-            m = msg
-            for _ in range(t):
-                coeffs.append(m % q)
-                m //= q
-            weight = sum(1 for x in range(n) if field.eval_poly(coeffs, x) != 0)
-            dist = min(dist, weight)
+        # the code is linear, so its least nonzero weight (word 0 is zero) is
+        # its distance, kept on the code for later certificates
+        dist = int(np.count_nonzero(words[1:], axis=1).min())
+        object.__setattr__(code, "min_distance", dist)
     if dist != n - t + 1:
         raise AssertionError(f"computed distance {dist} != n-t+1 = {n - t + 1}")
     return code
@@ -169,7 +167,7 @@ def certify_frameproof_by_distance(
     threshold = (params.c - params.s) * code.n // params.c
     if len(code) == 1:
         return DistanceCertificate(True, None, threshold)  # no pairs: vacuous
-    dist = _kernels.min_pairwise_distance(code.to_array())
+    dist = code.min_distance
     return DistanceCertificate(dist > threshold, dist, threshold)
 
 
@@ -400,11 +398,11 @@ def induced_packing_family(
     accepted copies.  budget caps the number of vertex sets examined.
     """
     _check_budget(budget)
+    if not n >= k:
+        raise ParameterError(f"need n >= k, got n={n}, k={k}")
     pattern = matching_complement_pattern(k, c, s)
     t = pattern.uniform_k
     assert t is not None
-    if not n >= k:
-        raise ParameterError(f"need n >= k, got n={n}, k={k}")
     candidates = enumerate_subsets(n, k)
     if seed is not None:
         random.Random(seed).shuffle(candidates)
@@ -528,28 +526,32 @@ def faithful_code_family(
     if q < 2:
         raise ParameterError(f"alphabet size q={q} must be >= 2")
     _check_budget(budget)
+    size = q**n
+    if size > MAX_CODEWORDS:
+        raise GuardError(f"q^n = {size} candidate words exceed the cap {MAX_CODEWORDS}")
     pattern = matching_complement_pattern(n, c, s)
     t = pattern.uniform_k
     assert t is not None
-    pattern_edges = set(pattern.sets)
-    if q**n > MAX_CODEWORDS:
-        raise GuardError(f"q^n = {q**n} candidate words exceed the cap {MAX_CODEWORDS}")
-    words = list(product(range(1, q + 1), repeat=n))
+    # two words agreeing on exactly these coordinates cannot both be accepted
+    rejected = np.bitwise_count(np.arange(1 << n)) > t
+    rejected[list(pattern.sets)] = True
+    # candidates in product() order, shuffled by index; only the first
+    # budget of them are examined
+    order = list(range(size))
     if seed is not None:
-        random.Random(seed).shuffle(words)
-    accepted: list[tuple[int, ...]] = []
-    examined = 0
-    for w in words:
-        if budget is not None and examined >= budget:
+        random.Random(seed).shuffle(order)
+    index = np.array(order[: size if budget is None else budget], dtype=np.int64)
+    words = index[:, None] // q ** np.arange(n - 1, -1, -1) % q + 1
+    # each accepted word rejects every later candidate it conflicts with, so
+    # the next candidate still alive is the next one the greedy accepts
+    alive = np.ones(len(words), dtype=bool)
+    accepted = []
+    pos = 0
+    while pos < len(words):
+        accepted.append(pos)
+        alive[pos:] &= ~rejected[_kernels.agreement_masks(words[pos:], 0)]
+        later = alive[pos + 1 :]
+        if not later.any():
             break
-        examined += 1
-        ok = True
-        for u in accepted:
-            im = agreement_mask(w, u)
-            ic = im.bit_count()
-            if ic > t or (ic == t and im in pattern_edges):
-                ok = False
-                break
-        if ok:
-            accepted.append(w)
-    return Code(q, n, tuple(accepted))
+        pos += 1 + int(later.argmax())
+    return Code(q, n, tuple(map(tuple, words[accepted].tolist())))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import ParameterError
 
 MAX_Q = 1 << 16
@@ -114,6 +116,19 @@ class GF:
         da, db = _decode(a, self.p, self.e), _decode(b, self.p, self.e)
         return _encode([(x + y) % self.p for x, y in zip(da, db)], self.p)
 
+    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise field sum of two broadcastable integer arrays of elements."""
+        if self.e == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        unit = 1
+        for _ in range(self.e):
+            out += (a // unit + b // unit) % self.p * unit
+            unit *= self.p
+        return out
+
     def neg(self, a: int) -> int:
         self._check(a)
         if self.e == 1:
@@ -140,6 +155,8 @@ class GF:
 
     def pow(self, a: int, k: int) -> int:
         self._check(a)
+        if k < 0:
+            raise ParameterError(f"exponent {k} must be >= 0")
         result, base = 1, a
         while k:
             if k & 1:

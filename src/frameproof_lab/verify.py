@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping, Sequence
 
@@ -107,6 +108,12 @@ class Code:
 
     def to_array(self) -> np.ndarray:
         return np.array(self.words, dtype=np.int64).reshape(len(self.words), self.n)
+
+    @cached_property
+    def min_distance(self) -> int:
+        """Minimum Hamming distance over word pairs (two words at least),
+        computed once per code."""
+        return _kernels.min_pairwise_distance(self.to_array())
 
     def to_json(self) -> dict:
         return {"q": self.q, "n": self.n, "words": [list(w) for w in self.words]}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -238,3 +239,24 @@ def test_critical_verify_of_long_words_is_a_parameter_error(capsys, tmp_path):
     path.write_text(json.dumps({"q": 2, "n": 65, "words": words}))
     code, out, err = run(capsys, "verify", "--code", str(path), "--c", "2", "--s", "1", "--critical")
     assert code == 2 and out == "" and "exceeds 64" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("construct", "rs", "--q", "16", "--n", "4", "--t", "3"),
+            "fc7d4b4ad9ce797e42278bc9ae234a4e9e0ba65dbf272b95c5b0662b273191d0",
+        ),
+        (
+            ("construct", "faithful", "--n", "6", "--c", "3", "--s", "2", "--q", "4",
+             "--seed", "1"),
+            "8a96c12cd2d4561ba60db1714f0a59628272319befaee5bc592d2377717fa823",
+        ),
+    ],
+)
+def test_construct_stdout_is_pinned(capsys, argv, digest):
+    # SHA-256 of stdout as the per-message RS build and the plain-loop
+    # faithful greedy printed it
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

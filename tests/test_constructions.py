@@ -1,11 +1,17 @@
+import hashlib
+import json
+import random
+from itertools import product
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from frameproof_lab import _kernels, constructions
 from frameproof_lab.core import (
     FormatError,
     FrameproofParams,
+    GuardError,
     ParameterError,
     WitnessError,
     points_from_mask,
@@ -24,6 +30,7 @@ from frameproof_lab.constructions import (
 )
 from frameproof_lab.verify import (
     Code,
+    agreement_mask,
     find_focal_code,
     find_focal_hypergraph,
     own_subsequence_census,
@@ -102,6 +109,59 @@ def test_rs_distance_scan():
             for j in range(i + 1, len(words))
         )
         assert d == n - t + 1
+
+
+# SHA-256 of the compact JSON of rs_code(q, n, t), as built by per-message
+# Horner evaluation: prime fields, GF(4), GF(8), GF(16), GF(9), GF(25),
+# GF(27), t = 1..4, and codes over 4096 words, where the distance comes
+# from the nonzero weights
+RS_PINS = {
+    (2, 2, 1): "f83d6e801c20751babca7d748f9c04e1ceb9287a5e950a1027a403cf97c518f6",
+    (2, 2, 2): "a2dcae2c89abd6d52968e0679b68084be1f694fccf68bb108259d9c65020c97d",
+    (3, 3, 2): "4e4b0c01e6df749e3cc52048579f05c4bd0fd7aa5c8501a7cc29457e11152762",
+    (5, 5, 3): "41234164b2fb14d610cd9a2fb8837ce3e5e428a4546f065902591a436f05a2e1",
+    (7, 4, 4): "53b8d1df8def9a32e32ffff0818550f767da43cf95ff547e96f30b73bb5db78e",
+    (11, 6, 2): "2ea4462c91c49a18696ac9b762ca84b302eb71cb8cddd46b3b95bd7bbd468e41",
+    (13, 5, 3): "5fa596c2586a02ace40561ae7d4fb2252fbe4d262227cc166c80eb049eccb822",
+    (4, 4, 2): "ceca70bae369e3628ef2feb357964e734ba367289f7a82d5e0e7eab941aa2b36",
+    (4, 3, 3): "b17e52c4e0067914d27274c59f4a527daf6905936c1da72a350212e75fdf5d42",
+    (4, 4, 4): "90fcfba09b12266dd27228ff93a50e1ae0bd2f28baee1b86f883dcf791ba47a5",
+    (8, 8, 2): "aaf59cb124297cb01a1c0386532161568cb5c097d63564325429b098a83de627",
+    (8, 5, 3): "0921cee621655dc4a0662f9b0ed88923fadf5c1a13fb3c5d1cdd54110f8ff4cd",
+    (8, 6, 4): "66061f2a951e580950ab6aacae393e4083d1a5496863fefa3793a4272c0fc0e2",
+    (16, 16, 2): "2862c1709dd24c4859cb2b56f954d6bb1fa2793d121b1541c6096d41c80d5bd9",
+    (16, 4, 3): "6f3198c4f9805bfd386c1538a2425cba6df7268db993aee829dd0a093ffa39ff",
+    (9, 9, 2): "090ad4a83ccd18fad5258504d94998d376739dcd6a0eeeb0448760d7ceb3ee62",
+    (9, 4, 3): "1ca6b116101d1e3ce981fe1ba2496bdc569331f275b8b36d7c95185e30ecb213",
+    (27, 5, 2): "bbd050e931c5acbdc9145c718028c261dc2d735f2d7a99d00afbf4f96a669f92",
+    (25, 6, 2): "44e244fc2403a90b4d995964f29e253c64a1842c3e73bb00493adc03c93c7edd",
+    (17, 4, 3): "f7f0390ef382188cafeec0c364bc4425a056478a505f40ac7f5d2b01f2378237",
+    (9, 5, 4): "06c0ee24dcb7d58decc78afe40e9f4c54808b2c2637362e48a99835bdd7c83a6",
+}
+
+
+@pytest.mark.parametrize("qnt", sorted(RS_PINS))
+def test_rs_code_pinned_words(qnt):
+    doc = json.dumps(rs_code(*qnt).to_json(), separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == RS_PINS[qnt]
+
+
+def test_code_distance_computed_once(monkeypatch):
+    calls = []
+    kernel = _kernels.min_pairwise_distance
+
+    def counting(words):
+        calls.append(len(words))
+        return kernel(words)
+
+    monkeypatch.setattr(_kernels, "min_pairwise_distance", counting)
+    code = rs_code(7, 5, 2)
+    assert certify_frameproof_by_distance(code, fp(2, 1)).distance == 4
+    assert calls == [49]
+    # over 4096 words the build takes the distance from the nonzero weights
+    big = rs_code(17, 4, 3)
+    assert certify_frameproof_by_distance(big, fp(2, 1)).distance == 2
+    assert calls == [49]
 
 
 def test_distance_certificates():
@@ -222,6 +282,19 @@ def test_induced_packing_examples():
     assert len(packing3.copies) == 0 and len(family3) == 0
 
 
+def test_cheap_checks_precede_the_pattern_solve(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("pattern solved before the argument checks")
+
+    monkeypatch.setattr(constructions, "matching_complement_pattern", unexpected)
+    with pytest.raises(GuardError):
+        faithful_code_family(8, 6, 3, 6)  # 6^8 candidate words
+    with pytest.raises(ParameterError):
+        faithful_code_family(4, 3, 2, 1)
+    with pytest.raises(ParameterError):
+        induced_packing_family(8, 6, 3, 5)  # n < k
+
+
 def test_negative_budgets_rejected():
     with pytest.raises(ParameterError):
         induced_packing_family(3, 4, 2, 7, budget=-1)
@@ -291,3 +364,28 @@ def test_faithful_agreement_conditions():
             assert mask.bit_count() <= t
             if mask.bit_count() == t:
                 assert mask not in pattern
+
+
+def _ref_faithful(n, c, s, q, seed, budget):
+    """The greedy as a plain loop over candidates and accepted words."""
+    pattern = matching_complement_pattern(n, c, s)
+    t, edges = pattern.uniform_k, set(pattern.sets)
+    words = list(product(range(1, q + 1), repeat=n))
+    if seed is not None:
+        random.Random(seed).shuffle(words)
+    accepted = []
+    for w in words[:budget]:
+        masks = [agreement_mask(w, u) for u in accepted]
+        if all(m.bit_count() < t or (m.bit_count() == t and m not in edges) for m in masks):
+            accepted.append(w)
+    return accepted
+
+
+@pytest.mark.parametrize("ncsq", [(3, 2, 1, 3), (4, 2, 1, 4), (4, 3, 2, 4), (5, 3, 2, 3),
+                                  (3, 4, 3, 4), (5, 4, 3, 2)])
+def test_faithful_matches_reference_greedy(ncsq):
+    n, c, s, q = ncsq
+    for seed in (None, 0, 11):
+        for budget in (None, 0, 1, 7, q**n // 2):
+            code = faithful_code_family(n, c, s, q, seed=seed, budget=budget)
+            assert list(code.words) == _ref_faithful(n, c, s, q, seed, budget)

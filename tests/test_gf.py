@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from frameproof_lab.core import ParameterError
@@ -46,6 +47,20 @@ def test_canonical_moduli():
 def test_inverse_of_zero():
     with pytest.raises(ParameterError):
         GF(5).inv(0)
+
+
+def test_pow_rejects_negative_exponent():
+    with pytest.raises(ParameterError):
+        GF(7).pow(3, -1)
+    assert GF(7).pow(3, 0) == 1 and GF(7).pow(0, 0) == 1
+
+
+@pytest.mark.parametrize("q", [2, 5, 8, 9, 16, 25, 27])
+def test_add_arrays_matches_add(q):
+    f = GF(q)
+    a = np.arange(q)
+    got = f.add_arrays(a[:, None], a[None, :])
+    assert got.tolist() == [[f.add(x, y) for y in range(q)] for x in range(q)]
 
 
 def test_eval_poly():

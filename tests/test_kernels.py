@@ -20,6 +20,27 @@ def test_min_pairwise_distance():
     assert kernels.min_pairwise_distance(big) == ref
 
 
+def test_min_pairwise_distance_blocks():
+    rng = random.Random(17)
+    # 600 words need two row blocks of the 256 K-cell count
+    words = [[rng.randint(1, 3) for _ in range(12)] for _ in range(600)]
+    assert kernels.min_pairwise_distance(np.array(words)) == _ref_distance(words)
+    # a duplicate pair in the second block, then in the first: distance 0
+    for i, j in ((550, 599), (0, 3)):
+        dup = [list(w) for w in words]
+        dup[j] = list(dup[i])
+        assert kernels.min_pairwise_distance(np.array(dup)) == 0 == _ref_distance(dup)
+    # two words
+    assert kernels.min_pairwise_distance(np.array([[1, 2, 3], [3, 2, 1]])) == 2
+    assert kernels.min_pairwise_distance(np.array([[4, 4], [4, 4]])) == 0
+    # n >= 255 counts past the uint8 range
+    long_words = [[rng.randint(1, 2) for _ in range(300)] for _ in range(6)]
+    long_words.append([3] * 300)
+    assert kernels.min_pairwise_distance(np.array(long_words)) == _ref_distance(long_words)
+    far = np.array([[1] * 300, [2] * 300])
+    assert kernels.min_pairwise_distance(far) == 300
+
+
 def test_agreement_masks():
     words = np.array([[1, 2, 3], [1, 2, 4], [5, 2, 3]])
     masks = kernels.agreement_masks(words, 0)
