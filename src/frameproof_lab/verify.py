@@ -5,13 +5,17 @@ property when every focus point (coordinate) is covered at least s times by
 the coalition.  The searches here are exhaustive: a returned witness always
 re-validates by direct counting, and a None answer means no witness exists.
 
-Each focus is decided on a reduced instance of its coverage masks: the masks
-of the other members, compressed to the focus's points, keeping only the
-distinct inclusion-maximal ones (repeatable search) or each distinct mask
-with its count capped at c (distinct search).  Foci with equal reduced
-instances share one verdict within a scan; on a linear code every focus
-does.  The colex search on the full masks runs only at the first violating
-focus, to produce the witness.
+Each focus is first refuted by counting where it can be: c coalition
+members cover at most c * max_B |A & B| incidences of the focus A, and a
+cover needs s * |A|.  This is the paper's pigeonhole and distance bound
+(c(n-d) < s*n on a code), so a code it certifies is decided without any
+search.  A focus that survives is decided on a reduced instance of its
+coverage masks: the masks of the other members, compressed to the focus's
+points, keeping only the distinct inclusion-maximal ones (repeatable search)
+or each distinct mask with its count capped at c (distinct search).  Foci
+with equal reduced instances share one verdict within a scan; on a linear
+code every focus does.  The colex search on the full masks runs only at the
+first violating focus, to produce the witness.
 
 Search order is fixed so outputs are reproducible: foci are scanned by index
 and per focus the coalition returned is the colex-least one, i.e. the sorted
@@ -213,19 +217,12 @@ def _target_mask(obj: SubsetFamily | Code, focus: int) -> int:
     return full_mask(obj.n)
 
 
-def _coverage_masks(
-    obj: SubsetFamily | Code, focus: int, arr: np.ndarray | None = None
-) -> tuple[list[int], str]:
-    """Per-index masks of focus points covered by each member/word.
-
-    arr is the code's word array when the caller already built it.
-    """
+def _coverage_masks(obj: SubsetFamily | Code, focus: int) -> tuple[list[int], str]:
+    """Per-index masks of focus points covered by each member/word."""
     if isinstance(obj, SubsetFamily):
         a = obj.sets[focus]
         return [m & a for m in obj.sets], "hypergraph"
-    if arr is None:
-        arr = obj.to_array()
-    return [int(v) for v in _kernels.agreement_masks(arr, focus)], "code"
+    return [int(v) for v in _kernels.agreement_masks(obj.to_array(), focus)], "code"
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +298,18 @@ def _focus_witness(
     focus: int,
     params: FrameproofParams,
     distinct: bool,
-    arr: np.ndarray | None = None,
+    masks: list[int] | None = None,
 ) -> FocalWitness | None:
-    masks, kind = _coverage_masks(obj, focus, arr)
+    """The focus's colex-least witness; masks are its coverage masks when
+    the caller already built them (the focus's own entry is never read)."""
+    if masks is None:
+        masks, _ = _coverage_masks(obj, focus)
     found = _search_cover(
         masks, focus, params.c, params.s, _target_mask(obj, focus), distinct
     )
     if found is None:
         return None
+    kind = "hypergraph" if isinstance(obj, SubsetFamily) else "code"
     witness = FocalWitness(kind, focus, IndexMultiset.from_indices(found), distinct)
     validate_witness(obj, witness, params)
     return witness
@@ -354,6 +355,34 @@ def _reduced_verdict(key: tuple[int, tuple], c: int, s: int, distinct: bool) -> 
     return _search_cover(masks, -1, c, s, full_mask(k), distinct) is not None
 
 
+def _unrefuted_masks(
+    obj: SubsetFamily | Code,
+    focus: int,
+    arr: np.ndarray | None,
+    params: FrameproofParams,
+) -> list[int] | None:
+    """The focus's coverage masks, or None when counting refutes it.
+
+    c members, repeated or not, cover at most c * max_B |A & B| incidences
+    of the focus A, B over the other members, and a cover needs s * |A|
+    (the paper's pigeonhole and distance bound).  The focus's own entry of
+    the returned masks is zero.
+    """
+    c, s = params.c, params.s
+    if arr is not None:
+        agree = _kernels.agreement_masks(arr, focus)
+        agree[focus] = 0
+        if s * arr.shape[1] > c * int(np.bitwise_count(agree).max()):
+            return None
+        return [int(v) for v in agree]
+    a = obj.sets[focus]
+    masks = [m & a for m in obj.sets]
+    masks[focus] = 0
+    if s * a.bit_count() > c * max(m.bit_count() for m in masks):
+        return None
+    return masks
+
+
 def _scan_foci(
     obj: SubsetFamily | Code,
     params: FrameproofParams,
@@ -369,12 +398,14 @@ def _scan_foci(
     arr = obj.to_array() if isinstance(obj, Code) else None
     verdicts: dict[tuple[int, tuple], bool] = {}
     for focus in range(size):
-        masks, _ = _coverage_masks(obj, focus, arr)
+        masks = _unrefuted_masks(obj, focus, arr, params)
+        if masks is None:
+            continue
         key = _reduced_key(masks, focus, _target_mask(obj, focus), params.c, distinct)
         if key not in verdicts:
             verdicts[key] = _reduced_verdict(key, params.c, params.s, distinct)
         if verdicts[key]:
-            w = _focus_witness(obj, focus, params, distinct, arr)
+            w = _focus_witness(obj, focus, params, distinct, masks)
             if w is None:
                 raise AssertionError(
                     f"reduced instance of focus {focus} has a cover, the full search none"

@@ -1,0 +1,48 @@
+"""The benchmark's contract, checked from the test suite.
+
+`perfbench/run.py` from this checkout runs each workload's tiny rungs with
+one traced pass.  Every per-layer metric that `BENCHMARK.json` declares must
+come back as a finite number: the benchmark prints `null` for a layer whose
+traced names are all gone from the program, or whose hooked result field is
+gone, and a NaN would make its last line invalid JSON.
+"""
+
+import importlib.util
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/run.py imported from the checkout, with the package it loads."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(run)
+        yield run, run.load_package()
+    finally:
+        sys.path[:] = saved
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in DECLARED["workloads"]])
+def test_traced_tiny_run_reports_every_per_layer_metric(bench, workload):
+    run, fl = bench
+    result, notes = run.run_workload(fl, workload, 1, seconds=0, trace=True, tiny=True)
+    assert result["correct"] and result["failed"] == 0, notes
+    # the last line of a run must be strict JSON
+    json.loads(json.dumps(result, allow_nan=False))
+    metrics = result["metrics"]
+    for name in (m["name"] for m in DECLARED["per_layer"]):
+        value = metrics[name]["value"]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), (name, value)
+        assert math.isfinite(value), (name, value)

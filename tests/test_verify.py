@@ -484,27 +484,166 @@ def test_reduced_search_named_cases():
     assert _reduced_key([0b11, 0b01, 0b01, 0b01, 0], 0, 0b11, 2, True) == (2, ((0, 1), (1, 2)))
 
 
-def test_linear_code_runs_one_reduced_search(monkeypatch):
-    # agreement patterns of a linear code are the same at every focus, so a
-    # scan decides all 49 foci of RS(7,7,2) with a single reduced search
+def _relabelled(code, rng):
+    """An isomorphic copy: permuted coordinates, symbols and word order."""
+    cols = list(range(code.n))
+    rng.shuffle(cols)
+    syms = [rng.sample(range(1, code.q + 1), code.q) for _ in cols]
+    words = [tuple(syms[i][w[j] - 1] for i, j in enumerate(cols)) for w in code.words]
+    rng.shuffle(words)
+    return Code(code.q, code.n, tuple(words))
+
+
+def _counting_calls(monkeypatch):
+    """Record the calls of the reduced-verdict and cover searches, and the
+    foci whose reduced key is built (those counting did not refute)."""
     import frameproof_lab.verify as verify
 
-    rng = random.Random(77)
-    base = rs_code(7, 7, 2)
-    cols = list(range(base.n))
-    rng.shuffle(cols)
-    syms = [rng.sample(range(1, base.q + 1), base.q) for _ in cols]
-    words = [tuple(syms[i][w[j] - 1] for i, j in enumerate(cols)) for w in base.words]
-    rng.shuffle(words)
-    code = Code(base.q, base.n, tuple(words))
+    calls = {"_reduced_verdict": [], "_search_cover": [], "_reduced_key": []}
+    for name, log in calls.items():
+        def counted(*args, _real=getattr(verify, name), _log=log):
+            _log.append(args)
+            return _real(*args)
 
-    calls = []
-    search = verify._reduced_verdict
+        monkeypatch.setattr(verify, name, counted)
+    return calls
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
 
-    monkeypatch.setattr(verify, "_reduced_verdict", counted)
+def test_linear_code_is_refuted_by_counting(monkeypatch):
+    # every other word of RS(7,7,2) agrees with a focus in at most one
+    # coordinate, and 3 * 1 < 1 * 7, so counting refutes all 49 foci and no
+    # reduced instance is built or searched
+    code = _relabelled(rs_code(7, 7, 2), random.Random(77))
+    calls = _counting_calls(monkeypatch)
     assert find_focal_code(code, fp(3, 1)) is None
-    assert len(code) == 49 and len(calls) == 1
+    assert find_critical_focal(code, fp(3, 1)) is None
+    assert len(code) == 49
+    assert calls == {"_reduced_verdict": [], "_search_cover": [], "_reduced_key": []}
+
+
+def test_unrefuted_foci_share_one_reduced_verdict(monkeypatch):
+    # words (1, a, b): each focus meets others in {1,2}, {1,3} or {1}, so
+    # 3 * 2 = 2 * 3 and counting refutes no focus; a cover would need each of
+    # coordinates 2 and 3 twice, four members, so the property holds, and all
+    # nine foci share one reduced instance per variant
+    code = Code(3, 3, tuple((1, a, b) for a in (1, 2, 3) for b in (1, 2, 3)))
+    calls = _counting_calls(monkeypatch)
+    assert find_focal_code(code, fp(3, 2)) is None
+    assert len(calls["_reduced_key"]) == 9 and len(calls["_reduced_verdict"]) == 1
+    assert find_critical_focal(code, fp(3, 2)) is None
+    assert len(calls["_reduced_key"]) == 18 and len(calls["_reduced_verdict"]) == 2
+
+
+def test_distance_certificate_means_no_reduced_search(monkeypatch):
+    # the distance certificate c(n-d) < s*n is the counting bound at every
+    # focus, so a certified code is decided without any reduced search
+    from frameproof_lab.constructions import certify_frameproof_by_distance
+
+    rng = random.Random(4096)
+    codes = [
+        _relabelled(rs_code(q, n, t), rng)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for t in (1, 2, 3)
+        for n in sorted({2, min(q, 4), q})
+        if t <= n and q**t <= 400
+    ]
+    for _ in range(40):
+        q, n = rng.randint(2, 4), rng.randint(2, 6)
+        words = {tuple(rng.randint(1, q) for _ in range(n)) for _ in range(rng.randint(1, 12))}
+        codes.append(Code(q, n, tuple(sorted(words))))
+    certified = 0
+    calls = _counting_calls(monkeypatch)
+    for code in codes:
+        for c in range(2, 7):
+            for s in range(1, c):
+                params = fp(c, s)
+                if not certify_frameproof_by_distance(code, params).certified:
+                    continue
+                guards = Guards(c=8, members=len(code))
+                assert find_focal_code(code, params, guards=guards) is None
+                assert find_critical_focal(code, params, guards=guards) is None
+                # counting refutes every focus, so no reduced key is even built
+                assert calls["_reduced_key"] == [], (code.q, code.n, len(code), c, s)
+                assert calls["_reduced_verdict"] == []
+                certified += 1
+    assert certified >= 500, certified
+
+
+def test_counting_bound_is_tight():
+    # s * |A| == c * max |A & B| at a violating focus: counting must not
+    # refute it, and the witness is still found
+    fano = SubsetFamily.from_iterables(
+        7, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 6]]
+    )
+    # lines of 3 points meet in one, and 1 * 3 == 3 * 1
+    _check_against_colex_brute(fano, fp(3, 1))
+    assert find_focal_hypergraph(fano, fp(3, 1)).focus == 0
+    assert find_critical_focal(fano, fp(3, 1)).focus == 0
+    # RS(5,4,3): words agree in at most two of four coordinates,
+    # and 1 * 4 == 2 * 2, 2 * 4 == 4 * 2
+    code = _relabelled(rs_code(5, 4, 3), random.Random(5))
+    for c, s in ((2, 1), (4, 2)):
+        for search in (find_focal_code, find_critical_focal):
+            w = search(code, fp(c, s))
+            assert w is not None and w.focus == 0, (c, s, search)
+            validate_witness(code, w, fp(c, s))
+    # RS(3,3,2): words agree in at most one of three coordinates, 1 * 3 == 3 * 1
+    _check_against_colex_brute(_relabelled(rs_code(3, 3, 2), random.Random(3)), fp(3, 1))
+
+
+def _unrefuted_foci(obj, params, upto):
+    """Foci below `upto` that the counting bound does not refute."""
+    kept = []
+    for focus in range(upto):
+        if isinstance(obj, SubsetFamily):
+            target = obj.sets[focus]
+            meets = [(m & target).bit_count() for m in obj.sets]
+            need = target.bit_count()
+        else:
+            meets = [agreement_mask(obj.words[focus], w).bit_count() for w in obj.words]
+            need = obj.n
+        best = max((x for i, x in enumerate(meets) if i != focus), default=0)
+        if params.s * need <= params.c * best:
+            kept.append(focus)
+    return kept
+
+
+def test_witness_after_refuted_and_searched_foci(monkeypatch):
+    # seeded instances whose first violating focus comes after foci that
+    # counting refutes and foci that are searched without a cover
+    rng = random.Random(1414)
+    mixed = 0
+    for trial in range(1000):
+        c = rng.randint(2, 4)
+        params = fp(c, rng.randint(1, c - 1))
+        if trial % 2:
+            n = rng.randint(3, 6)
+            obj = SubsetFamily(n, tuple(rng.sample(range(1, 1 << n), rng.randint(3, 7))))
+        else:
+            q, n = rng.randint(2, 3), rng.randint(2, 4)
+            size = rng.randint(3, min(8, q**n))
+            words = set()
+            while len(words) < size:
+                words.add(tuple(rng.randint(1, q) for _ in range(n)))
+            obj = Code(q, n, tuple(words))
+        for distinct in (False, True):
+            want = _colex_least_witness(obj, params, distinct)
+            if want is None:
+                continue
+            kept = _unrefuted_foci(obj, params, want.focus)
+            if not 0 < len(kept) < want.focus:
+                continue
+            calls = _counting_calls(monkeypatch)
+            if distinct:
+                got = find_critical_focal(obj, params)
+            elif isinstance(obj, SubsetFamily):
+                got = find_focal_hypergraph(obj, params)
+            else:
+                got = find_focal_code(obj, params)
+            assert got.to_json() == want.to_json(), (obj, params, distinct)
+            assert got.focus == naive_find_focal(obj, params, distinct).focus
+            # exactly the unrefuted foci reach the reduced search
+            assert [args[1] for args in calls["_reduced_key"]] == kept + [want.focus]
+            monkeypatch.undo()
+            mixed += 1
+    assert mixed >= 40, mixed
