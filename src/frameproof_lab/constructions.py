@@ -108,9 +108,8 @@ def rs_code(q: int, n: int, t: int) -> Code:
     Message m has coefficient j equal to the j-th base-q digit of m, and
     symbols are field elements shifted to 1..q.  All q^t words are built at
     once: level j adds the q x n table of c * x^j to every word of the
-    levels below.  The minimum distance (pairwise up to 4096 words, the
-    least nonzero weight above, which linearity makes the distance) is
-    checked to equal n-t+1 before returning.
+    levels below.  The minimum distance, the least nonzero weight since the
+    code is linear, is checked to equal n-t+1 before returning.
     """
     if t < 1:
         raise ParameterError(f"dimension t={t} must be >= 1")
@@ -129,14 +128,10 @@ def rs_code(q: int, n: int, t: int) -> Code:
         # message c * q^j + m extends the word of message m < q^j
         words = field.add_arrays(table[:, None, :], words[None, :, :]).reshape(-1, n)
     code = Code(q, n, tuple(map(tuple, (words + 1).tolist())))
-
-    if size <= 4096:
-        dist = code.min_distance
-    else:
-        # the code is linear, so its least nonzero weight (word 0 is zero) is
-        # its distance, kept on the code for later certificates
-        dist = int(np.count_nonzero(words[1:], axis=1).min())
-        object.__setattr__(code, "min_distance", dist)
+    # the code is linear, so its least nonzero weight (word 0 is zero) is its
+    # distance, kept on the code for later certificates
+    dist = int(np.count_nonzero(words[1:], axis=1).min())
+    object.__setattr__(code, "min_distance", dist)
     if dist != n - t + 1:
         raise AssertionError(f"computed distance {dist} != n-t+1 = {n - t + 1}")
     return code

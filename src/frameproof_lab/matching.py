@@ -31,7 +31,7 @@ from .core import (
     points_from_mask,
 )
 
-DEFAULT_SUBSET_CAP = 400
+SUBSET_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,7 @@ def _minimal_supports(
 
 
 def matching_number_exact(
-    instance: MatchingInstance,
-    budget: int | None = None,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
+    instance: MatchingInstance, budget: int | None = None
 ) -> MatchingCertificate:
     """Branch-and-bound value of m(n,t,lam;k1,k2) with an extremal family.
 
@@ -242,8 +240,8 @@ def matching_number_exact(
         raise ParameterError(f"node budget {budget} must be >= 0")
     n, t, params = instance.n, instance.t, instance.params
     total = comb(n, t)
-    if total > subset_cap:
-        raise ParameterError(f"C({n},{t})={total} exceeds the cap {subset_cap}")
+    if total > SUBSET_CAP:
+        raise ParameterError(f"C({n},{t})={total} exceeds the cap {SUBSET_CAP}")
     if params.vacuous:
         return MatchingCertificate(0, SubsetFamily(n, (), t), "exact", 0)
     candidates = enumerate_subsets(n, t)

@@ -5,17 +5,22 @@ property when every focus point (coordinate) is covered at least s times by
 the coalition.  The searches here are exhaustive: a returned witness always
 re-validates by direct counting, and a None answer means no witness exists.
 
-Each focus is first refuted by counting where it can be: c coalition
-members cover at most c * max_B |A & B| incidences of the focus A, and a
-cover needs s * |A|.  This is the paper's pigeonhole and distance bound
-(c(n-d) < s*n on a code), so a code it certifies is decided without any
-search.  A focus that survives is decided on a reduced instance of its
-coverage masks: the masks of the other members, compressed to the focus's
-points, keeping only the distinct inclusion-maximal ones (repeatable search)
-or each distinct mask with its count capped at c (distinct search).  Foci
-with equal reduced instances share one verdict within a scan; on a linear
-code every focus does.  The colex search on the full masks runs only at the
-first violating focus, to produce the witness.
+Each focus is decided on one view, the covering problem on its own points:
+the other members' coverage masks written over the focus's k points, bit j
+for the j-th point (a code's agreement sets need no compression, a family's
+traces B & A do).  A focus is first refuted by counting where it can be: c
+coalition members cover at most c * max_B |A & B| incidences of the focus
+A, and a cover needs s * |A|.  This is the paper's pigeonhole and distance
+bound (c(n-d) < s*n on a code), so a code it certifies is decided without
+any search.  A view that survives is decided on its reduced instance: the
+distinct inclusion-maximal masks (repeatable search) or each distinct mask
+with its count capped at c (distinct search).  Reduced instances found to
+have no cover are remembered within a scan; on a linear code every focus
+shares one.  The colex search on the view itself runs only at the first
+violating focus, to produce the witness.
+
+The reference paths, validate_witness and naive_find_focal, count straight
+from the words and sets and share no code with the scan or the kernels.
 
 Search order is fixed so outputs are reproducible: foci are scanned by index
 and per focus the coalition returned is the colex-least one, i.e. the sorted
@@ -180,11 +185,9 @@ def validate_witness(
     obj: SubsetFamily | Code, witness: FocalWitness, params: FrameproofParams
 ) -> None:
     """Re-check a witness by direct counting; raises WitnessError if bogus."""
-    if not 0 <= witness.focus < _size(obj):
+    if not 0 <= witness.focus < len(obj):
         raise WitnessError(f"focus index {witness.focus} out of range")
-    masks, kind = _coverage_masks(obj, witness.focus)
-    target = _target_mask(obj, witness.focus)
-    if kind != witness.kind:
+    if _kind(obj) != witness.kind:
         raise WitnessError(f"witness kind {witness.kind!r} does not match input")
     if witness.coalition.total != params.c:
         raise WitnessError(
@@ -195,34 +198,31 @@ def validate_witness(
     for idx, _ in witness.coalition.counts:
         if idx == witness.focus:
             raise WitnessError("coalition contains the focus")
-        if not 0 <= idx < _size(obj):
+        if not 0 <= idx < len(obj):
             raise WitnessError(f"coalition index {idx} out of range")
-    rest = target
-    while rest:
-        low = rest & -rest
-        cnt = sum(mult for idx, mult in witness.coalition.counts if masks[idx] & low)
+    counts = witness.coalition.counts
+    target, masks = _direct_masks(obj, witness.focus, [idx for idx, _ in counts])
+    for p in points_from_mask(target):
+        bit = 1 << (p - 1)
+        cnt = sum(mult for (_, mult), mask in zip(counts, masks) if mask & bit)
         if cnt < params.s:
-            p = low.bit_length()
             raise WitnessError(f"focus point/coordinate {p} covered {cnt} < s")
-        rest ^= low
 
 
-def _size(obj: SubsetFamily | Code) -> int:
-    return len(obj)
+def _kind(obj: SubsetFamily | Code) -> str:
+    return "hypergraph" if isinstance(obj, SubsetFamily) else "code"
 
 
-def _target_mask(obj: SubsetFamily | Code, focus: int) -> int:
-    if isinstance(obj, SubsetFamily):
-        return obj.sets[focus]
-    return full_mask(obj.n)
-
-
-def _coverage_masks(obj: SubsetFamily | Code, focus: int) -> tuple[list[int], str]:
-    """Per-index masks of focus points covered by each member/word."""
+def _direct_masks(
+    obj: SubsetFamily | Code, focus: int, members: Sequence[int]
+) -> tuple[int, list[int]]:
+    """The focus's points and each listed member's mask of them, counted
+    straight from the sets or words, without the numpy kernels."""
     if isinstance(obj, SubsetFamily):
         a = obj.sets[focus]
-        return [m & a for m in obj.sets], "hypergraph"
-    return [int(v) for v in _kernels.agreement_masks(obj.to_array(), focus)], "code"
+        return a, [obj.sets[i] & a for i in members]
+    x = obj.words[focus]
+    return full_mask(obj.n), [agreement_mask(x, obj.words[i]) for i in members]
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +230,23 @@ def _coverage_masks(obj: SubsetFamily | Code, focus: int) -> tuple[list[int], st
 
 
 def _search_cover(
-    masks: Sequence[int],
-    skip: int,
-    c: int,
-    s: int,
-    target: int,
-    distinct: bool,
+    masks: Sequence[int], c: int, s: int, k: int, distinct: bool
 ) -> tuple[int, ...] | None:
-    """Colex-least c-multiset (or c-set) of indices covering target >= s times.
+    """Colex-least c-multiset (or c-set) of indices covering all k points
+    (bits 0..k-1) at least s times.
 
     Slots are filled from the largest index position down, candidates tried
     ascending, so the first complete assignment is the colex minimum.  The
-    deficit of each target point is clipped at s; states that cannot complete
-    are memoized on (slot, bound, deficits).
+    deficit of each point is clipped at s; states that cannot complete are
+    memoized on (slot, bound, deficits).
     """
     m = len(masks)
-    avail = m - (1 if 0 <= skip < m else 0)
-    if avail < (c if distinct else 1):
+    if m < (c if distinct else 1):
         return None
     if c == 2 and s == 1 and not distinct:
-        idxs = [i for i in range(m) if i != skip]
-        arr = np.array([masks[i] for i in idxs], dtype=np.uint64)
-        hit = _kernels.cover_pair_scan(arr, target)
-        return None if hit is None else (idxs[hit[0]], idxs[hit[1]])
+        return _kernels.cover_pair_scan(np.array(masks, dtype=np.uint64), full_mask(k))
 
-    pts = points_from_mask(target)
-    k = len(pts)
-    bitpos = [1 << (p - 1) for p in pts]
+    bitpos = [1 << j for j in range(k)]
     need = [s] * k
     out = [0] * c
     memo: set[tuple[int, int, tuple[int, ...]]] = set()
@@ -268,11 +258,8 @@ def _search_cover(
         key = (slot, bound, tuple(need))
         if key in memo:
             return False
-        for v in range(bound + 1):
-            if v == skip:
-                continue
-            if distinct and v - (1 if 0 <= skip < v else 0) < slot:
-                continue  # not enough distinct indices left below v
+        # a distinct coalition needs `slot` smaller indices below v
+        for v in range(slot if distinct else 0, bound + 1):
             mv = masks[v]
             touched = []
             for i in range(k):
@@ -293,56 +280,58 @@ def _search_cover(
     return tuple(out) if dfs(c - 1, m - 1) else None
 
 
-def _focus_witness(
+def _focus_view(
     obj: SubsetFamily | Code,
     focus: int,
+    arr: np.ndarray | None,
     params: FrameproofParams,
-    distinct: bool,
-    masks: list[int] | None = None,
-) -> FocalWitness | None:
-    """The focus's colex-least witness; masks are its coverage masks when
-    the caller already built them (the focus's own entry is never read)."""
-    if masks is None:
-        masks, _ = _coverage_masks(obj, focus)
-    found = _search_cover(
-        masks, focus, params.c, params.s, _target_mask(obj, focus), distinct
-    )
-    if found is None:
-        return None
-    kind = "hypergraph" if isinstance(obj, SubsetFamily) else "code"
-    witness = FocalWitness(kind, focus, IndexMultiset.from_indices(found), distinct)
-    validate_witness(obj, witness, params)
-    return witness
+) -> tuple[int, list[int]] | None:
+    """The focus's coverage view (k, masks), or None when counting refutes it.
 
-
-def _reduced_key(
-    masks: list[int], focus: int, target: int, c: int, distinct: bool
-) -> tuple[int, tuple]:
-    """Canonical reduced instance of one focus: (k, sorted classes).
-
-    The focus's own index is dropped.  Repeatable search: the distinct
-    inclusion-maximal masks, since a superset covers at least as well and
-    members may repeat (the zero mask survives only when it is the only one:
-    an empty target is covered by any other member).  Distinct search: each
-    distinct mask with its count capped at c.  Masks are compressed to the
-    k target points, bit j for the j-th point.
+    masks are the other members' masks of the focus's k points, bit j for
+    the j-th point, in member order with the focus left out; on a code the
+    points are the n coordinates, so the compression is the identity.  c
+    members, repeated or not, cover at most c * max |mask| incidences and a
+    cover needs s * k (the paper's pigeonhole and distance bound).  arr is
+    the code's word array, None for a family.
     """
-    others = masks[:focus] + masks[focus + 1 :]
-    bits = [1 << (p - 1) for p in points_from_mask(target)]
-    identity = target == full_mask(len(bits))
-
-    def compress(m: int) -> int:
-        return m if identity else sum(1 << j for j, b in enumerate(bits) if m & b)
-
-    if distinct:
-        classes = [(compress(m), min(cnt, c)) for m, cnt in Counter(others).items()]
+    c, s = params.c, params.s
+    if arr is not None:
+        agree = _kernels.agreement_masks(arr, focus)
+        agree[focus] = 0
+        k = arr.shape[1]
+        if s * k > c * int(np.bitwise_count(agree).max()):
+            return None
+        masks = agree.tolist()
     else:
-        maximal: list[int] = []
-        for m in sorted(set(others), key=int.bit_count, reverse=True):
-            if all(m & big != m for big in maximal):
-                maximal.append(m)
-        classes = [compress(m) for m in maximal]
-    return len(bits), tuple(sorted(classes))
+        a = obj.sets[focus]
+        masks = [m & a for m in obj.sets]
+        masks[focus] = 0
+        k = a.bit_count()
+        if s * k > c * max(m.bit_count() for m in masks):
+            return None
+        bits = [1 << (p - 1) for p in points_from_mask(a)]
+        masks = [sum(1 << j for j, b in enumerate(bits) if m & b) for m in masks]
+    del masks[focus]
+    return k, masks
+
+
+def _reduced_key(k: int, masks: list[int], c: int, distinct: bool) -> tuple[int, tuple]:
+    """Canonical reduced instance of one focus view: (k, sorted classes).
+
+    Repeatable search: the distinct inclusion-maximal masks, since a superset
+    covers at least as well and members may repeat (the zero mask survives
+    only when it is the only one: an empty focus is covered by any other
+    member).  Distinct search: each distinct mask with its count capped at c.
+    """
+    if distinct:
+        classes = [(m, min(cnt, c)) for m, cnt in Counter(masks).items()]
+    else:
+        classes = []
+        for m in sorted(set(masks), key=int.bit_count, reverse=True):
+            if all(m & big != m for big in classes):
+                classes.append(m)
+    return k, tuple(sorted(classes))
 
 
 def _reduced_verdict(key: tuple[int, tuple], c: int, s: int, distinct: bool) -> bool:
@@ -352,35 +341,7 @@ def _reduced_verdict(key: tuple[int, tuple], c: int, s: int, distinct: bool) -> 
         masks = [m for m, cnt in classes for _ in range(cnt)]
     else:
         masks = list(classes)
-    return _search_cover(masks, -1, c, s, full_mask(k), distinct) is not None
-
-
-def _unrefuted_masks(
-    obj: SubsetFamily | Code,
-    focus: int,
-    arr: np.ndarray | None,
-    params: FrameproofParams,
-) -> list[int] | None:
-    """The focus's coverage masks, or None when counting refutes it.
-
-    c members, repeated or not, cover at most c * max_B |A & B| incidences
-    of the focus A, B over the other members, and a cover needs s * |A|
-    (the paper's pigeonhole and distance bound).  The focus's own entry of
-    the returned masks is zero.
-    """
-    c, s = params.c, params.s
-    if arr is not None:
-        agree = _kernels.agreement_masks(arr, focus)
-        agree[focus] = 0
-        if s * arr.shape[1] > c * int(np.bitwise_count(agree).max()):
-            return None
-        return [int(v) for v in agree]
-    a = obj.sets[focus]
-    masks = [m & a for m in obj.sets]
-    masks[focus] = 0
-    if s * a.bit_count() > c * max(m.bit_count() for m in masks):
-        return None
-    return masks
+    return _search_cover(masks, c, s, k, distinct) is not None
 
 
 def _scan_foci(
@@ -391,26 +352,33 @@ def _scan_foci(
 ) -> FocalWitness | None:
     if isinstance(obj, Code) and obj.n > 64:
         raise ParameterError("word length exceeds 64")
-    size = _size(obj)
+    size = len(obj)
     _check_guards(size, params.c, guards)
     if distinct and size < params.c + 1:
         return None
     arr = obj.to_array() if isinstance(obj, Code) else None
-    verdicts: dict[tuple[int, tuple], bool] = {}
+    refuted: set[tuple[int, tuple]] = set()
     for focus in range(size):
-        masks = _unrefuted_masks(obj, focus, arr, params)
-        if masks is None:
+        view = _focus_view(obj, focus, arr, params)
+        if view is None:
             continue
-        key = _reduced_key(masks, focus, _target_mask(obj, focus), params.c, distinct)
-        if key not in verdicts:
-            verdicts[key] = _reduced_verdict(key, params.c, params.s, distinct)
-        if verdicts[key]:
-            w = _focus_witness(obj, focus, params, distinct, masks)
-            if w is None:
-                raise AssertionError(
-                    f"reduced instance of focus {focus} has a cover, the full search none"
-                )
-            return w
+        k, masks = view
+        key = _reduced_key(k, masks, params.c, distinct)
+        if key in refuted:
+            continue
+        if not _reduced_verdict(key, params.c, params.s, distinct):
+            refuted.add(key)
+            continue
+        found = _search_cover(masks, params.c, params.s, k, distinct)
+        if found is None:
+            raise AssertionError(
+                f"reduced instance of focus {focus} has a cover, the full search none"
+            )
+        # view index i is member i + (i >= focus); the map keeps the colex order
+        coalition = IndexMultiset.from_indices(i + (i >= focus) for i in found)
+        witness = FocalWitness(_kind(obj), focus, coalition, distinct)
+        validate_witness(obj, witness, params)
+        return witness
     return None
 
 
@@ -445,7 +413,7 @@ def find_critical_focal(
     guards: Guards | None = None,
 ) -> FocalWitness | None:
     """Like the repeatable search but with pairwise distinct coalition members."""
-    if _size(obj) == 0:
+    if len(obj) == 0:
         raise ParameterError("input must be nonempty")
     return _scan_foci(obj, params, distinct=True, guards=guards)
 
@@ -455,26 +423,21 @@ def naive_find_focal(
 ) -> FocalWitness | None:
     """Reference search: enumerate every coalition and count directly.
 
-    Independent of the pruned search; intended for cross-checks on small
+    Counts straight from the words and sets, independent of the pruned
+    search and the numpy kernels; intended for cross-checks on small
     instances (the coalition space grows as C(size+c-1, c)).
     """
-    size = _size(obj)
+    size = len(obj)
     c, s = params.c, params.s
     pick = combinations if distinct else combinations_with_replacement
     for focus in range(size):
-        masks, kind = _coverage_masks(obj, focus)
-        target = _target_mask(obj, focus)
-        pts = points_from_mask(target)
+        target, masks = _direct_masks(obj, focus, range(size))
+        bits = [1 << (p - 1) for p in points_from_mask(target)]
         others = [i for i in range(size) if i != focus]
         for combo in pick(others, c):
-            ok = True
-            for p in pts:
-                bit = 1 << (p - 1)
-                if sum(1 for i in combo if masks[i] & bit) < s:
-                    ok = False
-                    break
-            if ok:
-                witness = FocalWitness(kind, focus, IndexMultiset.from_indices(combo), distinct)
+            if all(sum(1 for i in combo if masks[i] & bit) >= s for bit in bits):
+                coalition = IndexMultiset.from_indices(combo)
+                witness = FocalWitness(_kind(obj), focus, coalition, distinct)
                 validate_witness(obj, witness, params)
                 return witness
     return None

@@ -4,7 +4,9 @@
 one traced pass.  Every per-layer metric that `BENCHMARK.json` declares must
 come back as a finite number: the benchmark prints `null` for a layer whose
 traced names are all gone from the program, or whose hooked result field is
-gone, and a NaN would make its last line invalid JSON.
+gone, and a NaN would make its last line invalid JSON.  The answer digest
+of each seed-1 tiny run is pinned: a change that alters answers on purpose
+updates the pin and says why.
 """
 
 import importlib.util
@@ -17,6 +19,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+TINY_DIGESTS = {
+    "verify-holds": "2c42b022336d9dc798f2e799b08f85388372e05ac8b41ed828aa11df3882c03e",
+    "m-table": "343e7fb6f30f08444c6961592748c95b6cf4815130a9eea865036aa456a35b7d",
+    "construct": "cff0a5f2ad55c10dbc3d2a3f19c5a506184e4e32580a239a5c91345d148d64f6",
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +46,7 @@ def test_traced_tiny_run_reports_every_per_layer_metric(bench, workload):
     run, fl = bench
     result, notes = run.run_workload(fl, workload, 1, seconds=0, trace=True, tiny=True)
     assert result["correct"] and result["failed"] == 0, notes
+    assert f"digest sha256 {TINY_DIGESTS[workload]}" in notes, notes
     # the last line of a run must be strict JSON
     json.loads(json.dumps(result, allow_nan=False))
     metrics = result["metrics"]

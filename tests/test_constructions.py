@@ -155,13 +155,18 @@ def test_code_distance_computed_once(monkeypatch):
         return kernel(words)
 
     monkeypatch.setattr(_kernels, "min_pairwise_distance", counting)
-    code = rs_code(7, 5, 2)
-    assert certify_frameproof_by_distance(code, fp(2, 1)).distance == 4
-    assert calls == [49]
-    # over 4096 words the build takes the distance from the nonzero weights
-    big = rs_code(17, 4, 3)
-    assert certify_frameproof_by_distance(big, fp(2, 1)).distance == 2
-    assert calls == [49]
+    # an RS build takes its distance from the least nonzero weight
+    for q, n, t, d in ((7, 5, 2, 4), (17, 4, 3, 2)):
+        code = rs_code(q, n, t)
+        assert certify_frameproof_by_distance(code, fp(2, 1)).distance == d
+    assert calls == []
+    # any other code computes its pairwise distance once, then reuses it
+    words = tuple(rs_code(5, 4, 2).words[1:])
+    code = Code(5, 4, words)
+    assert certify_frameproof_by_distance(code, fp(2, 1)).distance == 3
+    assert certify_frameproof_by_distance(code, fp(3, 1)).distance == 3
+    assert code.min_distance == 3
+    assert calls == [24]
 
 
 def test_distance_certificates():

@@ -17,7 +17,8 @@ from frameproof_lab.verify import (
     Code,
     FocalWitness,
     Guards,
-    _focus_witness,
+    _focus_view,
+    _search_cover,
     agreement_mask,
     code_from_json,
     descendant_alphabet,
@@ -258,9 +259,10 @@ def test_code_search_matches_agreement_set_family():
             # family: the focus (= all of [n]) plus the agreement sets
             fam = SubsetFamily(n, tuple([full] + others))
             fam_witness = naive_find_focal(fam, params)
-            code_witness = _focus_witness(code, focus, params, False)
+            view = _focus_view(code, focus, code.to_array(), params)
+            has_code = view is not None and _search_cover(view[1], c, s, view[0], False)
             has_fam = fam_witness is not None and fam_witness.focus == 0
-            assert has_fam == (code_witness is not None), (code.words, focus, c, s)
+            assert has_fam == bool(has_code), (code.words, focus, c, s)
             checked += 1
     assert checked >= 40
 
@@ -478,10 +480,26 @@ def test_reduced_search_named_cases():
     # the zero mask stays only when it is the only coverage class
     from frameproof_lab.verify import _reduced_key
 
-    assert _reduced_key([0, 0, 0], 0, 0, 2, False) == (0, (0,))
-    assert _reduced_key([0b110, 0b010, 0, 0b100], 0, 0b110, 2, False) == (2, (0b01, 0b10))
-    assert _reduced_key([0b110, 0b010, 0, 0b110], 0, 0b110, 2, False) == (2, (0b11,))
-    assert _reduced_key([0b11, 0b01, 0b01, 0b01, 0], 0, 0b11, 2, True) == (2, ((0, 1), (1, 2)))
+    assert _reduced_key(0, [0, 0], 2, False) == (0, (0,))
+    assert _reduced_key(2, [0b01, 0, 0b10], 2, False) == (2, (0b01, 0b10))
+    assert _reduced_key(2, [0b01, 0, 0b11], 2, False) == (2, (0b11,))
+    assert _reduced_key(2, [0b01, 0b01, 0b01, 0], 2, True) == (2, ((0, 1), (1, 2)))
+
+
+def test_focus_view_compresses_to_the_focus_points():
+    # a family's traces are written over the focus's points, bit j for the
+    # j-th point, the focus left out and the member order kept
+    fam = SubsetFamily.from_iterables(4, [[2], [2, 4], [1], [4], [1, 2, 4]])
+    assert _focus_view(fam, 1, None, fp(2, 1)) == (2, [0b01, 0b00, 0b10, 0b11])
+    assert _focus_view(fam, 0, None, fp(2, 1)) == (1, [1, 0, 0, 1])
+    # the empty focus is never refuted: k = 0 needs no incidences
+    empty = SubsetFamily.from_iterables(2, [[1], [], [2]])
+    assert _focus_view(empty, 1, None, fp(2, 1)) == (0, [0, 0])
+    # on a code the compression is the identity
+    code = Code(3, 3, ((1, 2, 3), (1, 2, 1), (2, 2, 3)))
+    assert _focus_view(code, 0, code.to_array(), fp(2, 1)) == (3, [0b011, 0b110])
+    # counting: each member meets the focus in at most 2 of 3 points, 4 * 2 < 3 * 3
+    assert _focus_view(code, 0, code.to_array(), fp(4, 3)) is None
 
 
 def _relabelled(code, rng):
@@ -495,30 +513,38 @@ def _relabelled(code, rng):
 
 
 def _counting_calls(monkeypatch):
-    """Record the calls of the reduced-verdict and cover searches, and the
-    foci whose reduced key is built (those counting did not refute)."""
+    """Record the calls of the reduced-verdict and cover searches, and under
+    "viewed" the foci that get a view (those counting did not refute)."""
     import frameproof_lab.verify as verify
 
-    calls = {"_reduced_verdict": [], "_search_cover": [], "_reduced_key": []}
-    for name, log in calls.items():
-        def counted(*args, _real=getattr(verify, name), _log=log):
+    calls = {"_reduced_verdict": [], "_search_cover": [], "viewed": []}
+    for name in ("_reduced_verdict", "_search_cover"):
+        def counted(*args, _real=getattr(verify, name), _log=calls[name]):
             _log.append(args)
             return _real(*args)
 
         monkeypatch.setattr(verify, name, counted)
+
+    def viewed(obj, focus, arr, params, _real=verify._focus_view):
+        view = _real(obj, focus, arr, params)
+        if view is not None:
+            calls["viewed"].append(focus)
+        return view
+
+    monkeypatch.setattr(verify, "_focus_view", viewed)
     return calls
 
 
 def test_linear_code_is_refuted_by_counting(monkeypatch):
     # every other word of RS(7,7,2) agrees with a focus in at most one
     # coordinate, and 3 * 1 < 1 * 7, so counting refutes all 49 foci and no
-    # reduced instance is built or searched
+    # view is built or searched
     code = _relabelled(rs_code(7, 7, 2), random.Random(77))
     calls = _counting_calls(monkeypatch)
     assert find_focal_code(code, fp(3, 1)) is None
     assert find_critical_focal(code, fp(3, 1)) is None
     assert len(code) == 49
-    assert calls == {"_reduced_verdict": [], "_search_cover": [], "_reduced_key": []}
+    assert calls == {"_reduced_verdict": [], "_search_cover": [], "viewed": []}
 
 
 def test_unrefuted_foci_share_one_reduced_verdict(monkeypatch):
@@ -529,9 +555,9 @@ def test_unrefuted_foci_share_one_reduced_verdict(monkeypatch):
     code = Code(3, 3, tuple((1, a, b) for a in (1, 2, 3) for b in (1, 2, 3)))
     calls = _counting_calls(monkeypatch)
     assert find_focal_code(code, fp(3, 2)) is None
-    assert len(calls["_reduced_key"]) == 9 and len(calls["_reduced_verdict"]) == 1
+    assert len(calls["viewed"]) == 9 and len(calls["_reduced_verdict"]) == 1
     assert find_critical_focal(code, fp(3, 2)) is None
-    assert len(calls["_reduced_key"]) == 18 and len(calls["_reduced_verdict"]) == 2
+    assert len(calls["viewed"]) == 18 and len(calls["_reduced_verdict"]) == 2
 
 
 def test_distance_certificate_means_no_reduced_search(monkeypatch):
@@ -562,8 +588,8 @@ def test_distance_certificate_means_no_reduced_search(monkeypatch):
                 guards = Guards(c=8, members=len(code))
                 assert find_focal_code(code, params, guards=guards) is None
                 assert find_critical_focal(code, params, guards=guards) is None
-                # counting refutes every focus, so no reduced key is even built
-                assert calls["_reduced_key"] == [], (code.q, code.n, len(code), c, s)
+                # counting refutes every focus, so no view is even built
+                assert calls["viewed"] == [], (code.q, code.n, len(code), c, s)
                 assert calls["_reduced_verdict"] == []
                 certified += 1
     assert certified >= 500, certified
@@ -643,7 +669,77 @@ def test_witness_after_refuted_and_searched_foci(monkeypatch):
             assert got.to_json() == want.to_json(), (obj, params, distinct)
             assert got.focus == naive_find_focal(obj, params, distinct).focus
             # exactly the unrefuted foci reach the reduced search
-            assert [args[1] for args in calls["_reduced_key"]] == kept + [want.focus]
+            assert calls["viewed"] == kept + [want.focus]
             monkeypatch.undo()
             mixed += 1
     assert mixed >= 40, mixed
+
+
+def _random_instance(rng, trial):
+    if trial % 2:
+        n = rng.randint(2, 5)
+        size = rng.randint(3, min(8, (1 << n) - 1))
+        return SubsetFamily(n, tuple(rng.sample(range(1, 1 << n), size)))
+    q, n = rng.randint(2, 3), rng.randint(2, 4)
+    size = rng.randint(3, min(8, q**n))
+    words = set()
+    while len(words) < size:
+        words.add(tuple(rng.randint(1, q) for _ in range(n)))
+    return Code(q, n, tuple(words))
+
+
+def test_witness_maps_back_across_the_focus():
+    # view index i is member i + (i >= focus): coalitions with members on both
+    # sides of the focus must come back as the colex-least witness, on the
+    # c=2, s=1 pair scan, the repeatable search and the distinct search
+    rng = random.Random(1515)
+    straddling = {"pair scan": 0, "repeatable": 0, "distinct": 0}
+    for trial in range(600):
+        c = 2 if trial % 3 == 0 else rng.randint(2, 4)
+        s = 1 if c == 2 else rng.randint(1, c - 1)
+        obj = _random_instance(rng, trial)
+        params = fp(c, s)
+        repeatable = find_focal_hypergraph if isinstance(obj, SubsetFamily) else find_focal_code
+        for distinct, search in ((False, repeatable), (True, find_critical_focal)):
+            got = search(obj, params)
+            want = _colex_least_witness(obj, params, distinct)
+            assert (got and got.to_json()) == (want and want.to_json()), (obj, params, distinct)
+            if got is None:
+                continue
+            members = [idx for idx, _ in got.coalition.counts]
+            if members[0] < got.focus < members[-1]:
+                path = "distinct" if distinct else "pair scan" if (c, s) == (2, 1) else "repeatable"
+                straddling[path] += 1
+    assert min(straddling.values()) >= 20, straddling
+
+
+def test_reference_paths_do_not_use_the_kernels(monkeypatch):
+    # naive_find_focal and validate_witness count from the words themselves
+    from frameproof_lab import _kernels
+
+    rng = random.Random(99)
+    cases = []
+    for trial in range(0, 80, 2):  # codes only
+        code = _random_instance(rng, trial)
+        c = rng.randint(2, 3)
+        params = fp(c, rng.randint(1, c - 1))
+        for distinct in (False, True):
+            search = find_critical_focal if distinct else find_focal_code
+            cases.append((code, params, distinct, search(code, params)))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel called")
+
+    monkeypatch.setattr(_kernels, "agreement_masks", broken)
+    witnesses = 0
+    for code, params, distinct, want in cases:
+        got = naive_find_focal(code, params, distinct)
+        assert (None if got is None else got.focus) == (None if want is None else want.focus)
+        if want is None:
+            continue
+        validate_witness(code, want, params)
+        bogus = FocalWitness("code", want.focus, want.coalition, distinct)
+        with pytest.raises(WitnessError):
+            validate_witness(code, bogus, fp(params.c + 1, params.s))
+        witnesses += 1
+    assert witnesses >= 10, witnesses
