@@ -123,6 +123,8 @@ def hypergraph_bounds(
     quantity = f"f_{{{c},{s}}}({n},{k})"
     total_n = comb(n, t)
     total_k = comb(k, t)
+    if not 0 <= m_value <= total_k:
+        raise ParameterError(f"matching number m={m_value} outside [0..C({k},{t})={total_k}]")
     denom = total_k - m_value
     entries: list[BoundEntry] = []
 
@@ -198,6 +200,8 @@ def code_bounds(n: int, c: int, s: int, q: int, m_value: int) -> BoundReport:
     s0 = min(s, c - s)
     quantity = f"f^{{{q}}}_{{{c},{s}}}({n})"
     total = comb(n, t)
+    if not 0 <= m_value <= total:
+        raise ParameterError(f"matching number m={m_value} outside [0..C({n},{t})={total}]")
     denom = total - m_value
     qt = q**t
     entries: list[BoundEntry] = []

@@ -161,7 +161,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solver_m(n: int, c: int, s: int, k_or_n: int) -> int:
+def _solver_m(c: int, s: int, k_or_n: int) -> int:
     lam, t = lambda_of(c, s, k_or_n)
     return matching_number_exact(
         MatchingInstance(k_or_n, t, DisjointnessParams(lam, s + 1, c - s + 1))
@@ -170,7 +170,7 @@ def _solver_m(n: int, c: int, s: int, k_or_n: int) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.kind == "hypergraph":
-        m = args.m if args.m is not None else _solver_m(args.n, args.c, args.s, args.k)
+        m = args.m if args.m is not None else _solver_m(args.c, args.s, args.k)
         report = hypergraph_bounds(
             args.n,
             args.k,
@@ -181,7 +181,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             design_available=args.design,
         )
     elif args.kind == "code":
-        m = args.m if args.m is not None else _solver_m(args.n, args.c, args.s, args.n)
+        m = args.m if args.m is not None else _solver_m(args.c, args.s, args.n)
         report = code_bounds(args.n, args.c, args.s, args.q, m)
     else:
         report = matching_closed_bounds(

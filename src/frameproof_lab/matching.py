@@ -24,6 +24,7 @@ from . import _kernels
 from .bounds import BoundEntry, BoundReport, Hypothesis
 from .core import (
     DisjointnessParams,
+    FrameproofParams,
     ParameterError,
     SubsetFamily,
     enumerate_subsets,
@@ -366,8 +367,12 @@ def matching_closed_bounds(
     lower bound are emitted, plus the explicit specializations when the
     frameproof parameters (c, s) are supplied.
     """
-    if min(n, t, lam, s1, s2) < 1:
-        raise ParameterError("all of n, t, lam, s1, s2 must be >= 1")
+    if min(n, t, lam, s1, s2) < 1 or t > n:
+        raise ParameterError("need 1 <= t <= n and n, lam, s1, s2 >= 1")
+    if (c is None) != (s is None):
+        raise ParameterError("c and s must be given together")
+    if c is not None:
+        FrameproofParams(c, s)
     quantity = f"m({n},{t},{lam};{s1 + 1},{s2 + 1})"
     total = comb(n, t)
     entries: list[BoundEntry] = []

@@ -12,10 +12,11 @@ traces B & A do).  A focus is first refuted by counting where it can be: c
 coalition members cover at most c * max_B |A & B| incidences of the focus
 A, and a cover needs s * |A|.  This is the paper's pigeonhole and distance
 bound (c(n-d) < s*n on a code), so a code it certifies is decided without
-any search.  A view that survives is decided on its reduced instance: the
-distinct inclusion-maximal masks (repeatable search) or each distinct mask
-with its count capped at c (distinct search).  Reduced instances found to
-have no cover are remembered within a scan; on a linear code every focus
+any search.  A view that survives is decided on its reduced instance: a
+member whose mask lies inside those of `need` others (1 when members repeat,
+c when distinct) can be swapped out of any cover, so each class of equal
+masks keeps at most need minus the members above it.  Reduced instances
+with no cover are remembered within a scan; on a linear code every focus
 shares one.  The colex search on the view itself runs only at the first
 violating focus, to produce the witness.
 
@@ -241,8 +242,6 @@ def _search_cover(
     memoized on (slot, bound, deficits).
     """
     m = len(masks)
-    if m < (c if distinct else 1):
-        return None
     if c == 2 and s == 1 and not distinct:
         return _kernels.cover_pair_scan(np.array(masks, dtype=np.uint64), full_mask(k))
 
@@ -316,32 +315,23 @@ def _focus_view(
     return k, masks
 
 
-def _reduced_key(k: int, masks: list[int], c: int, distinct: bool) -> tuple[int, tuple]:
-    """Canonical reduced instance of one focus view: (k, sorted classes).
+def _reduced_key(k: int, masks: list[int], need: int) -> tuple[int, tuple]:
+    """Canonical reduced instance of one focus view: (k, sorted (mask, count)
+    classes), with a cover exactly when the view has one.
 
-    Repeatable search: the distinct inclusion-maximal masks, since a superset
-    covers at least as well and members may repeat (the zero mask survives
-    only when it is the only one: an empty focus is covered by any other
-    member).  Distinct search: each distinct mask with its count capped at c.
+    A member whose mask lies inside those of `need` other members can be
+    swapped for one of them in any cover (need = 1 when members repeat, c
+    when distinct: a coalition holds at most c - 1 others), so each class,
+    walked by decreasing popcount, keeps at most need - above copies, above
+    being the kept members with a strict superset mask.
     """
-    if distinct:
-        classes = [(m, min(cnt, c)) for m, cnt in Counter(masks).items()]
-    else:
-        classes = []
-        for m in sorted(set(masks), key=int.bit_count, reverse=True):
-            if all(m & big != m for big in classes):
-                classes.append(m)
-    return k, tuple(sorted(classes))
-
-
-def _reduced_verdict(key: tuple[int, tuple], c: int, s: int, distinct: bool) -> bool:
-    """Whether the reduced instance admits a covering coalition."""
-    k, classes = key
-    if distinct:
-        masks = [m for m, cnt in classes for _ in range(cnt)]
-    else:
-        masks = list(classes)
-    return _search_cover(masks, c, s, k, distinct) is not None
+    classes = sorted(Counter(masks).items(), key=lambda mc: mc[0].bit_count(), reverse=True)
+    kept: list[tuple[int, int]] = []
+    for m, cnt in classes:
+        above = sum(copies for big, copies in kept if big & m == m)
+        if above < need:
+            kept.append((m, min(cnt, need - above)))
+    return k, tuple(sorted(kept))
 
 
 def _scan_foci(
@@ -354,8 +344,6 @@ def _scan_foci(
         raise ParameterError("word length exceeds 64")
     size = len(obj)
     _check_guards(size, params.c, guards)
-    if distinct and size < params.c + 1:
-        return None
     arr = obj.to_array() if isinstance(obj, Code) else None
     refuted: set[tuple[int, tuple]] = set()
     for focus in range(size):
@@ -363,10 +351,11 @@ def _scan_foci(
         if view is None:
             continue
         k, masks = view
-        key = _reduced_key(k, masks, params.c, distinct)
+        key = _reduced_key(k, masks, params.c if distinct else 1)
         if key in refuted:
             continue
-        if not _reduced_verdict(key, params.c, params.s, distinct):
+        reduced = [m for m, cnt in key[1] for _ in range(cnt)]
+        if _search_cover(reduced, params.c, params.s, k, distinct) is None:
             refuted.add(key)
             continue
         found = _search_cover(masks, params.c, params.s, k, distinct)

@@ -241,6 +241,52 @@ def test_critical_verify_of_long_words_is_a_parameter_error(capsys, tmp_path):
     assert code == 2 and out == "" and "exceeds 64" in err
 
 
+MALFORMED = [
+    ("verify", "--family", "{tmp}/bad.json", "--c", "2", "--s", "1"),
+    ("verify", "--family", "{tmp}/schema.json", "--c", "2", "--s", "1"),
+    ("verify", "--c", "2", "--s", "1"),
+    ("verify", "--code", "{tmp}/long.json", "--c", "2", "--s", "1", "--critical"),
+    ("verify", "--family", "{tmp}/schema.json", "--c", "3", "--s", "3"),
+    ("matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "2", "--k2", "2",
+     "--budget", "-3"),
+    ("matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "0", "--k2", "2"),
+    ("construct", "faithful", "--n", "4", "--c", "3", "--s", "2", "--q", "4", "--budget", "-1"),
+    ("construct", "induced", "--k", "3", "--c", "4", "--s", "2", "--n", "7", "--budget", "-1"),
+    ("construct", "packing", "--n", "7", "--k", "3", "--t", "2", "--order", "seeded-random"),
+    ("construct", "rs", "--q", "6", "--n", "3", "--t", "2"),
+    ("attack", "--code", "{tmp}/bad.json", "--coalition", "0", "--s", "1"),
+    ("bounds", "matching", "--n", "3", "--t", "5", "--lambda", "2", "--s1", "1", "--s2", "1"),
+    ("bounds", "matching", "--n", "6", "--t", "2", "--lambda", "2", "--s1", "1", "--s2", "2",
+     "--c", "1", "--s", "0"),
+    ("bounds", "matching", "--n", "6", "--t", "2", "--lambda", "2", "--s1", "1", "--s2", "2",
+     "--c", "3", "--s", "0"),
+    ("bounds", "matching", "--n", "6", "--t", "2", "--lambda", "2", "--s1", "1", "--s2", "2",
+     "--c", "3", "--s", "3"),
+    ("bounds", "matching", "--n", "6", "--t", "2", "--lambda", "2", "--s1", "1", "--s2", "2",
+     "--c", "3"),
+    ("bounds", "matching", "--n", "6", "--t", "2", "--lambda", "2", "--s1", "1", "--s2", "2",
+     "--s", "1"),
+    ("bounds", "hypergraph", "--n", "12", "--k", "4", "--c", "3", "--s", "1", "--m", "-5"),
+    ("bounds", "hypergraph", "--n", "12", "--k", "4", "--c", "3", "--s", "1", "--m", "7"),
+    ("bounds", "hypergraph", "--n", "12", "--k", "1", "--c", "3", "--s", "1", "--m", "0"),
+    ("bounds", "code", "--n", "5", "--c", "2", "--s", "1", "--q", "5", "--m", "11"),
+    ("bounds", "code", "--n", "5", "--c", "2", "--s", "1", "--q", "5", "--m", "-1"),
+]
+
+
+def test_malformed_invocations_exit_2(capsys, tmp_path):
+    # the error contract: exit 2, nothing on stdout, one "error:" line on stderr
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "schema.json").write_text(json.dumps({"n": 4, "sets": [[0]]}))
+    words = [[1] * 65, [2] * 65, [1] * 64 + [2]]
+    (tmp_path / "long.json").write_text(json.dumps({"q": 2, "n": 65, "words": words}))
+    for argv in MALFORMED:
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err, argv
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

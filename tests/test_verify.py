@@ -18,6 +18,7 @@ from frameproof_lab.verify import (
     FocalWitness,
     Guards,
     _focus_view,
+    _reduced_key,
     _search_cover,
     agreement_mask,
     code_from_json,
@@ -477,13 +478,53 @@ def test_reduced_search_named_cases():
     _check_against_colex_brute(fam(4, [[1, 2], [3, 4], [1, 3], [2, 4]]), fp(3, 1))
     _check_against_colex_brute(fam(2, [[1, 2]]), fp(2, 1))
     _check_against_colex_brute(Code(2, 3, ((1, 2, 1),)), fp(2, 1))
-    # the zero mask stays only when it is the only coverage class
-    from frameproof_lab.verify import _reduced_key
+    # repeatable (need 1): one copy of each inclusion-maximal class; the zero
+    # mask stays only when it is the only coverage class
+    assert _reduced_key(0, [0, 0], 1) == (0, ((0, 1),))
+    assert _reduced_key(2, [0b01, 0, 0b10], 1) == (2, ((0b01, 1), (0b10, 1)))
+    assert _reduced_key(2, [0b01, 0, 0b11], 1) == (2, ((0b11, 1),))
+    # distinct (need c): a class is capped at c, and dropped once c kept
+    # members lie strictly above it
+    assert _reduced_key(2, [0b01, 0b01, 0b01, 0], 2) == (2, ((0b01, 2),))
+    assert _reduced_key(2, [0b11, 0b11, 0b01, 0b10, 0b10], 2) == (2, ((0b11, 2),))
+    # a class under fewer than c kept members keeps c minus those above it
+    assert _reduced_key(2, [0b11, 0b01, 0b01, 0b01, 0b10], 3) == (
+        2,
+        ((0b01, 2), (0b10, 1), (0b11, 1)),
+    )
+    assert _reduced_key(3, [0b111, 0b011, 0b011, 0b001, 0b001, 0b001], 3) == (
+        3,
+        ((0b011, 2), (0b111, 1)),
+    )
+    assert _reduced_key(3, [0b110, 0b011, 0b010, 0b010, 0b010], 3) == (
+        3,
+        ((0b010, 1), (0b011, 1), (0b110, 1)),
+    )
 
-    assert _reduced_key(0, [0, 0], 2, False) == (0, (0,))
-    assert _reduced_key(2, [0b01, 0, 0b10], 2, False) == (2, (0b01, 0b10))
-    assert _reduced_key(2, [0b01, 0, 0b11], 2, False) == (2, (0b11,))
-    assert _reduced_key(2, [0b01, 0b01, 0b01, 0], 2, True) == (2, ((0, 1), (1, 2)))
+
+def test_reduced_key_keeps_the_cover_verdict():
+    # views crowded with equal and nested masks: the expanded reduced
+    # instance has a cover exactly when the full view has one
+    rng = random.Random(3141)
+    seen = {"covered": 0, "uncovered": 0, "shrunk": 0}
+    for _ in range(1500):
+        k = rng.randint(0, 5)
+        tops = [rng.randrange(1 << k) for _ in range(rng.randint(1, 3))]
+        masks = [
+            rng.choice(tops) & (rng.randrange(1 << k) if rng.random() < 0.5 else -1)
+            for _ in range(rng.randint(1, 14))
+        ]
+        c = rng.randint(2, 5)
+        s = rng.randint(1, c - 1)
+        for distinct in (False, True):
+            key = _reduced_key(k, masks, c if distinct else 1)
+            reduced = [m for m, cnt in key[1] for _ in range(cnt)]
+            want = _search_cover(masks, c, s, k, distinct) is not None
+            got = _search_cover(reduced, c, s, k, distinct) is not None
+            assert got == want, (k, masks, c, s, distinct, key)
+            seen["covered" if want else "uncovered"] += 1
+            seen["shrunk"] += len(reduced) < len(masks)
+    assert min(seen.values()) >= 500, seen
 
 
 def test_focus_view_compresses_to_the_focus_points():
@@ -513,17 +554,17 @@ def _relabelled(code, rng):
 
 
 def _counting_calls(monkeypatch):
-    """Record the calls of the reduced-verdict and cover searches, and under
-    "viewed" the foci that get a view (those counting did not refute)."""
+    """Record the calls of the cover search, and under "viewed" the foci that
+    get a view (those counting did not refute)."""
     import frameproof_lab.verify as verify
 
-    calls = {"_reduced_verdict": [], "_search_cover": [], "viewed": []}
-    for name in ("_reduced_verdict", "_search_cover"):
-        def counted(*args, _real=getattr(verify, name), _log=calls[name]):
-            _log.append(args)
-            return _real(*args)
+    calls = {"_search_cover": [], "viewed": []}
 
-        monkeypatch.setattr(verify, name, counted)
+    def counted(*args, _real=verify._search_cover):
+        calls["_search_cover"].append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(verify, "_search_cover", counted)
 
     def viewed(obj, focus, arr, params, _real=verify._focus_view):
         view = _real(obj, focus, arr, params)
@@ -544,7 +585,7 @@ def test_linear_code_is_refuted_by_counting(monkeypatch):
     assert find_focal_code(code, fp(3, 1)) is None
     assert find_critical_focal(code, fp(3, 1)) is None
     assert len(code) == 49
-    assert calls == {"_reduced_verdict": [], "_search_cover": [], "viewed": []}
+    assert calls == {"_search_cover": [], "viewed": []}
 
 
 def test_unrefuted_foci_share_one_reduced_verdict(monkeypatch):
@@ -555,9 +596,9 @@ def test_unrefuted_foci_share_one_reduced_verdict(monkeypatch):
     code = Code(3, 3, tuple((1, a, b) for a in (1, 2, 3) for b in (1, 2, 3)))
     calls = _counting_calls(monkeypatch)
     assert find_focal_code(code, fp(3, 2)) is None
-    assert len(calls["viewed"]) == 9 and len(calls["_reduced_verdict"]) == 1
+    assert len(calls["viewed"]) == 9 and len(calls["_search_cover"]) == 1
     assert find_critical_focal(code, fp(3, 2)) is None
-    assert len(calls["viewed"]) == 18 and len(calls["_reduced_verdict"]) == 2
+    assert len(calls["viewed"]) == 18 and len(calls["_search_cover"]) == 2
 
 
 def test_distance_certificate_means_no_reduced_search(monkeypatch):
@@ -590,7 +631,7 @@ def test_distance_certificate_means_no_reduced_search(monkeypatch):
                 assert find_critical_focal(code, params, guards=guards) is None
                 # counting refutes every focus, so no view is even built
                 assert calls["viewed"] == [], (code.q, code.n, len(code), c, s)
-                assert calls["_reduced_verdict"] == []
+                assert calls["_search_cover"] == []
                 certified += 1
     assert certified >= 500, certified
 
