@@ -5,7 +5,9 @@ loops: pairwise Hamming distances, per-focus agreement masks, the order-2
 coalition scan, and the 2^M subfamily sweep of the brute-force matching
 oracle.  Distances are counted per coordinate in row blocks of about 256 K
 cells.  The sweep runs over the inclusion-minimal antichain of the
-forbidden supports, in uint32 masks with int8 sizes.  Each kernel is exact.
+forbidden supports, one block of 2^12 low parts per high part, and skips
+the blocks a support fills and those that cannot beat the best size.  Each
+kernel is exact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
 # cells per block of the pairwise distance count
 _DISTANCE_BLOCK = 1 << 18
+# low bits per block of the subfamily sweep
+_SWEEP_LOW_BITS = 12
 
 
 def min_pairwise_distance(words: np.ndarray) -> int:
@@ -87,26 +91,51 @@ def _minimal_antichain(supports: np.ndarray) -> np.ndarray:
 
 
 def max_subfamily_avoiding(supports: list[int] | np.ndarray, m: int) -> tuple[int, int]:
-    """Largest subset of [0..m) containing no forbidden support, by full 2^m sweep.
+    """Largest subset of [0..m) containing no forbidden support.
 
     Returns (size, member mask); ties break toward the numerically smallest
     mask.  m is capped at 24 to bound the sweep.  The supports are first
     reduced to their inclusion-minimal antichain, which leaves the set of
     avoiding subsets unchanged; a support reaching outside [0..m) forbids
     nothing.
+
+    The masks are swept in ascending blocks: a high part h over the top
+    m - L bits, under it all 2^L low parts (L = min(12, m)).  A block is
+    skipped outright when some support lies inside h with an empty low
+    part, since every mask of the block contains it, or when
+    popcount(h) + L <= the best size so far, since the block holds only
+    larger masks and so cannot win even a tie.  Otherwise the avoiding low
+    parts are the AND of the cached boolean vectors of the low parts of the
+    supports whose high part lies inside h.
     """
     if not 0 <= m <= 24:
         raise ValueError(f"subfamily sweep supports m <= 24, got {m}")
     distinct = sorted(set(int(s) for s in supports))
     if distinct and distinct[0] == 0:
         raise ValueError("empty support forbids every subfamily")
-    arr = np.asarray([s for s in distinct if not s >> m], dtype=np.uint32)
-    all_masks = np.arange(1 << m, dtype=np.uint32)
-    alive = np.ones(all_masks.shape, dtype=bool)
-    for s in _minimal_antichain(arr):
-        alive &= (all_masks & s) != s
-    sizes = np.bitwise_count(all_masks).astype(np.int8)
-    sizes[~alive] = -1
-    # arange is ascending, so argmax lands on the smallest qualifying mask
-    best = int(np.argmax(sizes))
-    return int(sizes[best]), int(all_masks[best])
+    minimal = _minimal_antichain(np.asarray([s for s in distinct if not s >> m], dtype=np.uint32))
+    low_bits = min(_SWEEP_LOW_BITS, m)
+    lows = np.arange(1 << low_bits, dtype=np.uint32)
+    highs = np.arange(1 << (m - low_bits), dtype=np.uint32)
+    low = (minimal & lows[-1])[:, None]
+    # avoiding[j, x]: low part x does not contain the low part of support j
+    avoiding = (lows & low) != low
+    # inside[j, h]: the high part of support j lies inside h
+    high = (minimal >> low_bits)[:, None]
+    inside = (high | highs) == highs
+    live = ~inside[low[:, 0] == 0].any(axis=0)
+    low_sizes = np.bitwise_count(lows).astype(np.int8)
+    best, best_mask = -1, 0
+    for h in np.flatnonzero(live).tolist():
+        h_size = h.bit_count()
+        if h_size + low_bits <= best:
+            continue
+        # forbidden low parts score 0; in a live block the empty low part
+        # always avoids, so argmax over the ascending lows lands on the
+        # smallest avoiding low part of the largest size
+        sizes = low_sizes * avoiding[inside[:, h]].all(axis=0)
+        i = int(np.argmax(sizes))
+        size = h_size + int(sizes[i])
+        if size > best:
+            best, best_mask = size, h << low_bits | i
+    return best, best_mask

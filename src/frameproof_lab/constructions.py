@@ -185,7 +185,8 @@ class Packing:
     @property
     def k(self) -> int:
         k = self.family.uniform_k
-        assert k is not None
+        if k is None:
+            raise ParameterError("packing family is not declared uniform")
         return k
 
     def validate(self) -> None:
@@ -397,7 +398,8 @@ def induced_packing_family(
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
     pattern = matching_complement_pattern(k, c, s)
     t = pattern.uniform_k
-    assert t is not None
+    if t is None:
+        raise AssertionError("matching-complement pattern is not uniform")
     candidates = enumerate_subsets(n, k)
     if seed is not None:
         random.Random(seed).shuffle(candidates)
@@ -526,7 +528,8 @@ def faithful_code_family(
         raise GuardError(f"q^n = {size} candidate words exceed the cap {MAX_CODEWORDS}")
     pattern = matching_complement_pattern(n, c, s)
     t = pattern.uniform_k
-    assert t is not None
+    if t is None:
+        raise AssertionError("matching-complement pattern is not uniform")
     # two words agreeing on exactly these coordinates cannot both be accepted
     rejected = np.bitwise_count(np.arange(1 << n)) > t
     rejected[list(pattern.sets)] = True

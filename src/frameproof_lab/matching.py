@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb
 from typing import Sequence
+
+import numpy as np
 
 from . import _kernels
 from .bounds import BoundEntry, BoundReport, Hypothesis
@@ -33,6 +35,8 @@ from .core import (
 )
 
 SUBSET_CAP = 400
+# multiset rows per block of the brute-force quantifier check
+_BRUTE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -301,6 +305,46 @@ def matching_number_exact(
     return MatchingCertificate(len(best), family, status, budget_box.used)
 
 
+def _qualifying_supports(
+    candidates: Sequence[int], n: int, params: DisjointnessParams
+) -> set[int]:
+    """Supports of every lam-multiset of candidates meeting the quantifier definition.
+
+    The non-decreasing index multisets come from combinations_with_replacement
+    in blocks of _BRUTE_BLOCK rows of uint8 indices (the oracle's M <= 24
+    candidates fit).  Each row gathers its candidate masks; a
+    row qualifies when every k1 of its entries AND to nothing and every k2 of
+    them OR to the ground set (vacuously when the row has fewer than k1 resp.
+    k2 entries).  The support is the OR of the row's index bits.
+    """
+    lam = params.lam
+    ground = full_mask(n)
+    masks = np.asarray(candidates, dtype=np.min_scalar_type(ground))
+    bits = np.uint32(1) << np.arange(len(candidates), dtype=np.uint32)
+
+    def positions(k: int | None) -> np.ndarray | None:
+        # the k-subsets of a row's lam entries, one row of positions each
+        if k is None or k > lam:
+            return None
+        return np.array(list(combinations(range(lam), k)), dtype=np.intp)
+
+    meets, covers = positions(params.k1), positions(params.k2)
+    multisets = combinations_with_replacement(range(len(candidates)), lam)
+    supports: set[int] = set()
+    while True:
+        block = bytes(chain.from_iterable(islice(multisets, _BRUTE_BLOCK)))
+        if not block:
+            return supports
+        rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, lam)
+        sets = masks[rows]
+        ok = np.ones(len(rows), dtype=bool)
+        if meets is not None:
+            ok &= ~np.bitwise_and.reduce(sets[:, meets], axis=2).any(axis=1)
+        if covers is not None:
+            ok &= (np.bitwise_or.reduce(sets[:, covers], axis=2) == ground).all(axis=1)
+        supports.update(np.bitwise_or.reduce(bits[rows[ok]], axis=1).tolist())
+
+
 def matching_number_brute(instance: MatchingInstance) -> tuple[int, SubsetFamily]:
     """Independent oracle: full sweep over all subfamilies of the t-subsets.
 
@@ -314,32 +358,7 @@ def matching_number_brute(instance: MatchingInstance) -> tuple[int, SubsetFamily
     m = len(candidates)
     if m > 24:
         raise ParameterError(f"brute-force oracle capped at C(n,t) <= 24, got {m}")
-    supports = set()
-    ground = full_mask(n)
-    for combo in combinations_with_replacement(range(m), params.lam):
-        sets = [candidates[i] for i in combo]
-        ok = True
-        if params.k1 is not None and params.k1 <= params.lam:
-            for sub in combinations(range(params.lam), params.k1):
-                inter = ground
-                for i in sub:
-                    inter &= sets[i]
-                if inter:
-                    ok = False
-                    break
-        if ok and params.k2 is not None and params.k2 <= params.lam:
-            for sub in combinations(range(params.lam), params.k2):
-                union = 0
-                for i in sub:
-                    union |= sets[i]
-                if union != ground:
-                    ok = False
-                    break
-        if ok:
-            support = 0
-            for i in combo:
-                support |= 1 << i
-            supports.add(support)
+    supports = _qualifying_supports(candidates, n, params)
     size, member_mask = _kernels.max_subfamily_avoiding(sorted(supports), m)
     picked = tuple(
         candidates[i] for i in range(m) if member_mask & (1 << i)

@@ -13,6 +13,7 @@ from frameproof_lab.core import (
     FrameproofParams,
     GuardError,
     ParameterError,
+    SubsetFamily,
     WitnessError,
     points_from_mask,
 )
@@ -202,6 +203,10 @@ def test_greedy_packing_examples():
 
     p421 = greedy_packing(4, 2, 1)
     assert [points_from_mask(m) for m in p421.family.sets] == [(1, 2), (3, 4)]
+    # a family not declared uniform has no block size, also under python -O
+    undeclared = constructions.Packing(SubsetFamily(4, p421.family.sets), 1, False)
+    with pytest.raises(ParameterError):
+        undeclared.k
 
     with pytest.raises(ParameterError):
         greedy_packing(3, 3, 2)

@@ -86,6 +86,65 @@ def test_max_subfamily_avoiding_m20():
     assert kernels.max_subfamily_avoiding([], 20) == (20, (1 << 20) - 1)
 
 
+def test_max_subfamily_avoiding_m24():
+    # 12 high and 12 low bits: 4096 blocks, the pairs of the high part make
+    # most of them dead
+    pairs = [0b11 << (2 * i) for i in range(12)]
+    assert kernels.max_subfamily_avoiding(pairs, 24) == (12, 0x555555)
+
+
+def test_max_subfamily_avoiding_small_m():
+    # m <= 12 is one block: no high part
+    assert kernels.max_subfamily_avoiding([], 0) == (0, 0)
+    assert kernels.max_subfamily_avoiding([0b1], 1) == (0, 0)
+    supports = [0b11 << i for i in range(11)]
+    assert kernels.max_subfamily_avoiding(supports, 12) == (6, 0x555)
+    assert kernels.max_subfamily_avoiding(supports, 12) == _ref_sweep(supports, 12)
+
+
+def test_max_subfamily_avoiding_dead_blocks():
+    # supports with an empty low part kill every block whose high part
+    # contains them
+    high = [0b11 << 12, 0b11 << 14, 1 << 16 | 1 << 12]
+    low = [0b111, 0b11 << 9, 1 << 5 | 1 << 13]
+    for m in (15, 17):
+        supports = [s for s in high + low if not s >> m]
+        assert kernels.max_subfamily_avoiding(supports, m) == _ref_sweep(supports, m)
+    # every mask with bit 12 is dead: the optimum avoids it
+    assert kernels.max_subfamily_avoiding([1 << 12], 13) == (12, 0xFFF)
+
+
+def test_max_subfamily_avoiding_ties_across_blocks():
+    # size 12 in blocks 0, 1 and 2; the smallest mask is all of block 0
+    supports = [1 << 12 | 1 << 13, 1 << 12 | 1, 1 << 13 | 1 << 1]
+    assert kernels.max_subfamily_avoiding(supports, 14) == (12, 0xFFF)
+    assert _ref_sweep(supports, 14) == (12, 0xFFF)
+    # forbid {0, 1} too: block 0 drops to 11, blocks 1 and 2 tie at 12 and
+    # block 1 holds the smaller mask
+    supports.append(0b11)
+    assert kernels.max_subfamily_avoiding(supports, 14) == (12, 1 << 12 | 0xFFE)
+    assert _ref_sweep(supports, 14) == (12, 1 << 12 | 0xFFE)
+
+
+def test_max_subfamily_avoiding_straddling_supports():
+    # each support holds bits on both sides of the high/low split; a few
+    # small supports keep the optimum large enough for the reference sweep
+    rng = random.Random(2024)
+    for m in range(13, 22):
+        for _ in range(3):
+            supports = []
+            for _ in range(rng.randint(1, 5)):
+                size = rng.randint(2, 4)
+                bits = {rng.randrange(12), rng.randrange(12, m)}
+                while len(bits) < size:
+                    bits.add(rng.randrange(m))
+                supports.append(sum(1 << b for b in bits))
+            assert kernels.max_subfamily_avoiding(supports, m) == _ref_sweep(supports, m), (
+                m,
+                supports,
+            )
+
+
 def _ref_distance(words):
     return min(
         sum(1 for x, y in zip(u, v) if x != y) for u, v in combinations(words, 2)

@@ -3,23 +3,26 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import frameproof_lab
+from frameproof_lab import matching
 from frameproof_lab.core import (
     DisjointnessParams,
     ParameterError,
     SubsetFamily,
     enumerate_subsets,
     is_disjoint_collection,
+    lambda_of,
 )
 from frameproof_lab.matching import (
     MatchingInstance,
     _minimal_supports,
+    _qualifying_supports,
     cyclic_partition_plan,
     find_violating_collection,
     matching_closed_bounds,
@@ -442,3 +445,119 @@ PINNED_CELLS = {
 @pytest.mark.parametrize("cell", sorted(PINNED_CELLS))
 def test_pinned_certificates_at_budget_2500(cell):
     assert matching_number_exact(inst(*cell), budget=2500).to_json() == PINNED_CELLS[cell]
+
+
+# ---------------------------------------------------------------------------
+# the brute-force oracle
+
+# the benchmark's m-table cells (c,s,k), as m(k, t, lam; s+1, c-s+1)
+M_TABLE_CELLS = [(c, s, k) for k in range(2, 8) for c in range(2, 7) for s in range(1, c)] + [
+    (3, 1, 8), (4, 3, 8), (5, 1, 8), (6, 2, 8)
+]
+
+
+def _cell_args(c, s, k):
+    lam, t = lambda_of(c, s, k)
+    return k, t, lam, s + 1, c - s + 1
+
+
+def _ref_qualifying_supports(candidates, n, params):
+    # the plain quantifier loop: every k1 entries of the multiset intersect
+    # in nothing, every k2 of them cover [n]
+    supports = set()
+    ground = (1 << n) - 1
+    for combo in combinations_with_replacement(range(len(candidates)), params.lam):
+        sets = [candidates[i] for i in combo]
+        ok = True
+        if params.k1 is not None and params.k1 <= params.lam:
+            for sub in combinations(range(params.lam), params.k1):
+                inter = ground
+                for i in sub:
+                    inter &= sets[i]
+                if inter:
+                    ok = False
+                    break
+        if ok and params.k2 is not None and params.k2 <= params.lam:
+            for sub in combinations(range(params.lam), params.k2):
+                union = 0
+                for i in sub:
+                    union |= sets[i]
+                if union != ground:
+                    ok = False
+                    break
+        if ok:
+            support = 0
+            for i in combo:
+                support |= 1 << i
+            supports.add(support)
+    return supports
+
+
+def _enumeration_cases():
+    cases = [
+        _cell_args(c, s, k)
+        for c, s, k in M_TABLE_CELLS
+        if comb(k, lambda_of(c, s, k)[1]) <= 21
+    ]
+    # each clause off (None), at 1, and past lam (vacuous)
+    for n, t, lam in ((4, 2, 2), (5, 2, 3), (5, 3, 4), (3, 1, 5)):
+        for k1 in (None, 1, 2, lam + 1):
+            for k2 in (None, 1, 2, lam + 1):
+                cases.append((n, t, lam, k1, k2))
+    return cases
+
+
+def test_qualifying_supports_match_the_plain_loop():
+    for n, t, lam, k1, k2 in _enumeration_cases():
+        candidates = enumerate_subsets(n, t)
+        params = DisjointnessParams(lam, k1, k2)
+        assert _qualifying_supports(candidates, n, params) == _ref_qualifying_supports(
+            candidates, n, params
+        ), (n, t, lam, k1, k2)
+
+
+def test_brute_oracle_shares_no_code_with_the_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle called the solver's oracle")
+
+    for name in ("_find_violating", "find_violating_collection", "_minimal_supports"):
+        monkeypatch.setattr(matching, name, refuse)
+    value, family = matching_number_brute(inst(6, 3, 2, 2, 2))
+    assert value == len(family) == 10
+
+
+# brute-force m at the six k = 7 cells with C(7,t) = 21 candidates; the
+# solver at node budget 2500 proves all but (4,1,7), where it finds the
+# value without closing the search.  There t = 2, lam = 3 and k1 = 2: graphs
+# on 7 vertices without 3 disjoint edges, at most
+# max{C(5,2), C(2,2) + 2*5} = 11 edges by Erdos-Gallai.
+K7_CELLS = {(3, 2, 7): 6, (4, 1, 7): 11, (5, 1, 7): 6, (5, 3, 7): 0, (6, 1, 7): 0, (6, 4, 7): 6}
+
+
+@pytest.mark.parametrize("cell", sorted(K7_CELLS))
+def test_k7_cells_by_brute_force(cell):
+    n, t, lam, k1, k2 = _cell_args(*cell)
+    assert comb(n, t) == 21
+    instance = inst(n, t, lam, k1, k2)
+    value, family = matching_number_brute(instance)
+    assert value == len(family) == K7_CELLS[cell]
+    assert find_violating_collection(family, instance.params) is None
+    cert = matching_number_exact(instance, budget=2500)
+    assert cert.value == value
+    assert cert.status == ("lower-only" if cell == (4, 1, 7) else "exact")
+    if cell == (4, 1, 7):
+        assert value == max(comb(5, 2), comb(2, 2) + 2 * 5)
+
+
+def test_brute_complement_duality():
+    # complementing every member swaps "k1 of them meet in nothing" with
+    # "k1 of them cover [n]", so m(n,t,lam;k1,k2) = m(n,n-t,lam;k2,k1)
+    checked = 0
+    for c, s, k in M_TABLE_CELLS:
+        n, t, lam, k1, k2 = _cell_args(c, s, k)
+        if t == n or comb(n, t) > 21:
+            continue
+        value = matching_number_brute(inst(n, t, lam, k1, k2))[0]
+        assert value == matching_number_brute(inst(n, n - t, lam, k2, k1))[0], (c, s, k)
+        checked += 1
+    assert checked == 72
