@@ -66,6 +66,11 @@ def test_max_subfamily_avoiding():
         kernels.max_subfamily_avoiding([1], 30)
     # a support reaching outside [0..m) forbids nothing
     assert kernels.max_subfamily_avoiding([0b1000], 3) == (3, 0b111)
+    # m <= 12 is one block, with no high part
+    assert kernels.max_subfamily_avoiding([], 0) == (0, 0)
+    assert kernels.max_subfamily_avoiding([0b1], 1) == (0, 0)
+    path = [0b11 << i for i in range(11)]
+    assert kernels.max_subfamily_avoiding(path, 12) == (6, 0x555) == _ref_sweep(path, 12)
 
 
 def test_max_subfamily_avoiding_nested_and_duplicate_supports():
@@ -91,15 +96,6 @@ def test_max_subfamily_avoiding_m24():
     # most of them dead
     pairs = [0b11 << (2 * i) for i in range(12)]
     assert kernels.max_subfamily_avoiding(pairs, 24) == (12, 0x555555)
-
-
-def test_max_subfamily_avoiding_small_m():
-    # m <= 12 is one block: no high part
-    assert kernels.max_subfamily_avoiding([], 0) == (0, 0)
-    assert kernels.max_subfamily_avoiding([0b1], 1) == (0, 0)
-    supports = [0b11 << i for i in range(11)]
-    assert kernels.max_subfamily_avoiding(supports, 12) == (6, 0x555)
-    assert kernels.max_subfamily_avoiding(supports, 12) == _ref_sweep(supports, 12)
 
 
 def test_max_subfamily_avoiding_dead_blocks():
