@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .core import ParameterError, lambda_of
+from .gf import factorize
 
 
 @dataclass(frozen=True)
@@ -84,22 +85,7 @@ class BoundReport:
 
 def _prime_power_floor(q: int) -> int:
     """Smallest maximal prime-power divisor p_i^{e_i} in the factorization of q."""
-    if q < 2:
-        raise ParameterError(f"q={q} must be >= 2")
-    rest = q
-    powers = []
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            pe = 1
-            while rest % p == 0:
-                rest //= p
-                pe *= p
-            powers.append(pe)
-        p += 1
-    if rest > 1:
-        powers.append(rest)
-    return min(powers)
+    return min(p**e for p, e in factorize(q))
 
 
 def hypergraph_bounds(

@@ -92,7 +92,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     params = FrameproofParams(args.c, args.s)
     if (args.family is None) == (args.code is None):
         raise ParameterError("pass exactly one of --family or --code")
-    if args.family:
+    if args.family is not None:
         obj = family_from_json(_load_json(args.family))
     else:
         obj = code_from_json(_load_json(args.code))

@@ -446,8 +446,10 @@ class MultipartiteView:
     """Words as partial transversals of an n-parts-by-q-symbols ground set.
 
     Word x maps to {(i, x_i): i in [n]}, encoded on ground points
-    (i-1)*q + x_i; restriction to T maps to the corresponding sub-transversal.
-    Own subsequences of x correspond exactly to own subsets of the image.
+    (i-1)*q + x_i, and a transversal maps back to its word.  The restriction
+    x_T of x to coordinates T is the sub-transversal on the parts in T, so
+    own subsequences of x correspond exactly to own subsets of the image;
+    coordinates_mask recovers T from a sub-transversal.
     """
 
     q: int
@@ -472,12 +474,6 @@ class MultipartiteView:
         mask = 0
         for i, a in enumerate(word, start=1):
             mask |= 1 << (self.point(i, a) - 1)
-        return mask
-
-    def restriction_mask(self, word: Sequence[int], t_mask: int) -> int:
-        mask = 0
-        for i in points_from_mask(t_mask):
-            mask |= 1 << (self.point(i, word[i - 1]) - 1)
         return mask
 
     def coordinates_mask(self, subset_mask: int) -> int:

@@ -100,13 +100,6 @@ class GroundSet:
         if not 1 <= self.n <= MAX_GROUND:
             raise ParameterError(f"ground size n={self.n} outside [1..{MAX_GROUND}]")
 
-    @property
-    def full(self) -> int:
-        return full_mask(self.n)
-
-    def points(self) -> range:
-        return range(1, self.n + 1)
-
 
 @dataclass(frozen=True)
 class SubsetFamily:
@@ -139,9 +132,6 @@ class SubsetFamily:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def member_points(self, i: int) -> tuple[int, ...]:
-        return points_from_mask(self.sets[i])
 
     def to_json(self) -> dict:
         return {"n": self.n, "sets": [list(points_from_mask(m)) for m in self.sets]}

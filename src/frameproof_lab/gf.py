@@ -17,11 +17,12 @@ from .core import ParameterError
 MAX_Q = 1 << 16
 
 
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e, or ParameterError if q is not a prime power."""
+def factorize(q: int) -> list[tuple[int, int]]:
+    """Prime factorization of q >= 2 by trial division, as ascending (p, e)."""
     if q < 2:
         raise ParameterError(f"q={q} must be >= 2")
     rest = q
+    factors = []
     p = 2
     while p * p <= rest:
         if rest % p == 0:
@@ -29,11 +30,19 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             while rest % p == 0:
                 rest //= p
                 e += 1
-            if rest != 1:
-                raise ParameterError(f"q={q} is not a prime power")
-            return p, e
+            factors.append((p, e))
         p += 1
-    return rest, 1
+    if rest > 1:
+        factors.append((rest, 1))
+    return factors
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, or ParameterError if q is not a prime power."""
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise ParameterError(f"q={q} is not a prime power")
+    return factors[0]
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:

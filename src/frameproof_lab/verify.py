@@ -5,14 +5,15 @@ property when every focus point (coordinate) is covered at least s times by
 the coalition.  The searches here are exhaustive: a returned witness always
 re-validates by direct counting, and a None answer means no witness exists.
 
-Each focus is decided on one view, the covering problem on its own points:
-the other members' coverage masks written over the focus's k points, bit j
-for the j-th point (a code's agreement sets need no compression, a family's
-traces B & A do).  A focus is first refuted by counting where it can be: c
-coalition members cover at most c * max_B |A & B| incidences of the focus
-A, and a cover needs s * |A|.  This is the paper's pigeonhole and distance
-bound (c(n-d) < s*n on a code), so a code it certifies is decided without
-any search.  A view that survives is decided on its reduced instance: a
+Codes and families are scanned as one array: a code's words judged on every
+coordinate, a family's 0/1 incidence vectors each judged on its own points.
+A focus is first refuted by counting where it can be: c coalition members
+cover at most c * max_B |A & B| incidences of the focus A, and a cover needs
+s * |A|; all foci are counted a block at a time, so an early witness ends
+the scan.  This is the paper's pigeonhole and distance bound (c(n-d) < s*n
+on a code), so a code it certifies is decided without any search.  A focus
+that survives gets one view, the other members' agreement masks of its k
+points (bit j for the j-th point), decided on its reduced instance: a
 member whose mask lies inside those of `need` others (1 when members repeat,
 c when distinct) can be swapped out of any cover, so each class of equal
 masks keeps at most need minus the members above it.  Reduced instances
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from .core import (
     full_mask,
     points_from_mask,
 )
+
+# cells per block of the all-foci agreement count
+_FOCUS_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -279,40 +283,40 @@ def _search_cover(
     return tuple(out) if dfs(c - 1, m - 1) else None
 
 
-def _focus_view(
-    obj: SubsetFamily | Code,
-    focus: int,
-    arr: np.ndarray | None,
-    params: FrameproofParams,
-) -> tuple[int, list[int]] | None:
-    """The focus's coverage view (k, masks), or None when counting refutes it.
+def _scan_array(obj: SubsetFamily | Code) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, judged): a code's words judged on every coordinate, or a
+    family's 0/1 incidence vectors each judged on its own points, where a
+    member agrees with a focus at one of its points when it contains it."""
+    if isinstance(obj, Code):
+        rows = obj.to_array()
+        return rows, np.ones(rows.shape, dtype=bool)
+    sets = np.array(obj.sets, dtype=np.uint64).reshape(-1, 1)
+    rows = (sets >> np.arange(obj.n, dtype=np.uint64) & np.uint64(1)).astype(np.int64)
+    return rows, rows == 1
 
-    masks are the other members' masks of the focus's k points, bit j for
-    the j-th point, in member order with the focus left out; on a code the
-    points are the n coordinates, so the compression is the identity.  c
-    members, repeated or not, cover at most c * max |mask| incidences and a
-    cover needs s * k (the paper's pigeonhole and distance bound).  arr is
-    the code's word array, None for a family.
+
+def _surviving_foci(
+    rows: np.ndarray, judged: np.ndarray, params: FrameproofParams
+) -> Iterator[int]:
+    """The foci that the counting bound does not refute, in index order.
+
+    Agreements are counted column by column for a block of foci at a time,
+    about _FOCUS_BLOCK cells, so a witness at an early focus ends the scan
+    before the later blocks are counted.
     """
-    c, s = params.c, params.s
-    if arr is not None:
-        agree = _kernels.agreement_masks(arr, focus)
-        agree[focus] = 0
-        k = arr.shape[1]
-        if s * k > c * int(np.bitwise_count(agree).max()):
-            return None
-        masks = agree.tolist()
-    else:
-        a = obj.sets[focus]
-        masks = [m & a for m in obj.sets]
-        masks[focus] = 0
-        k = a.bit_count()
-        if s * k > c * max(m.bit_count() for m in masks):
-            return None
-        bits = [1 << (p - 1) for p in points_from_mask(a)]
-        masks = [sum(1 << j for j, b in enumerate(bits) if m & b) for m in masks]
-    del masks[focus]
-    return k, masks
+    size = rows.shape[0]
+    cols, judged_cols = np.ascontiguousarray(rows.T), np.ascontiguousarray(judged.T)
+    need = params.s * judged.sum(axis=1)
+    step = max(1, _FOCUS_BLOCK // size)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        # counts are at most n <= 64
+        counts = np.zeros((hi - lo, size), dtype=np.uint8)
+        for col, own in zip(cols, judged_cols):
+            counts += (col[lo:hi, None] == col) & own[lo:hi, None]
+        counts[np.arange(hi - lo), np.arange(lo, hi)] = 0
+        cover = params.c * counts.max(axis=1).astype(np.int64)
+        yield from (lo + np.flatnonzero(need[lo:hi] <= cover)).tolist()
 
 
 def _reduced_key(k: int, masks: list[int], need: int) -> tuple[int, tuple]:
@@ -342,15 +346,15 @@ def _scan_foci(
 ) -> FocalWitness | None:
     if isinstance(obj, Code) and obj.n > 64:
         raise ParameterError("word length exceeds 64")
-    size = len(obj)
-    _check_guards(size, params.c, guards)
-    arr = obj.to_array() if isinstance(obj, Code) else None
+    _check_guards(len(obj), params.c, guards)
+    rows, judged = _scan_array(obj)
     refuted: set[tuple[int, tuple]] = set()
-    for focus in range(size):
-        view = _focus_view(obj, focus, arr, params)
-        if view is None:
-            continue
-        k, masks = view
+    for focus in _surviving_foci(rows, judged, params):
+        # the focus row agrees with itself on all k of its points
+        points = judged[focus]
+        k = int(points.sum())
+        masks = _kernels.agreement_masks(rows[:, points], focus).tolist()
+        del masks[focus]
         key = _reduced_key(k, masks, params.c if distinct else 1)
         if key in refuted:
             continue

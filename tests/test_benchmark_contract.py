@@ -5,8 +5,9 @@ one traced pass.  Every per-layer metric that `BENCHMARK.json` declares must
 come back as a finite number: the benchmark prints `null` for a layer whose
 traced names are all gone from the program, or whose hooked result field is
 gone, and a NaN would make its last line invalid JSON.  The answer digest
-of each seed-1 tiny run is pinned: a change that alters answers on purpose
-updates the pin and says why.
+of each seed-1 tiny run is pinned, and so is that of the full seed-1
+verify-holds run, whose answers come from every verify route: a change
+that alters answers on purpose updates the pin and says why.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ TINY_DIGESTS = {
     "m-table": "343e7fb6f30f08444c6961592748c95b6cf4815130a9eea865036aa456a35b7d",
     "construct": "cff0a5f2ad55c10dbc3d2a3f19c5a506184e4e32580a239a5c91345d148d64f6",
 }
+FULL_VERIFY_DIGEST = "12bcc450d0e6eabf670abe618a13dee1cd131c74d24fc9ad76ead1ade7b6b4e5"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +56,10 @@ def test_traced_tiny_run_reports_every_per_layer_metric(bench, workload):
         value = metrics[name]["value"]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), (name, value)
         assert math.isfinite(value), (name, value)
+
+
+def test_full_verify_holds_digest_is_pinned(bench):
+    run, fl = bench
+    result, notes = run.run_workload(fl, "verify-holds", 1, seconds=0, trace=False)
+    assert result["correct"] and result["failed"] == 0, notes
+    assert f"digest sha256 {FULL_VERIFY_DIGEST}" in notes, notes

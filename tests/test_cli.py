@@ -245,6 +245,7 @@ MALFORMED = [
     ("verify", "--family", "{tmp}/bad.json", "--c", "2", "--s", "1"),
     ("verify", "--family", "{tmp}/schema.json", "--c", "2", "--s", "1"),
     ("verify", "--c", "2", "--s", "1"),
+    ("verify", "--family", "", "--c", "2", "--s", "1"),
     ("verify", "--code", "{tmp}/long.json", "--c", "2", "--s", "1", "--critical"),
     ("verify", "--family", "{tmp}/schema.json", "--c", "3", "--s", "3"),
     ("matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "2", "--k2", "2",

@@ -17,9 +17,10 @@ from frameproof_lab.verify import (
     Code,
     FocalWitness,
     Guards,
-    _focus_view,
     _reduced_key,
+    _scan_array,
     _search_cover,
+    _surviving_foci,
     agreement_mask,
     code_from_json,
     descendant_alphabet,
@@ -36,6 +37,18 @@ from frameproof_lab.constructions import rs_code
 
 def fp(c, s):
     return FrameproofParams(c, s)
+
+
+def _view(obj, focus):
+    """(k, masks): the other members' masks of the focus's k points, as the
+    scan builds them for a focus that counting does not refute."""
+    from frameproof_lab import _kernels
+
+    rows, judged = _scan_array(obj)
+    points = judged[focus]
+    masks = _kernels.agreement_masks(rows[:, points], focus).tolist()
+    del masks[focus]
+    return int(points.sum()), masks
 
 
 def test_find_focal_hypergraph_examples():
@@ -260,8 +273,8 @@ def test_code_search_matches_agreement_set_family():
             # family: the focus (= all of [n]) plus the agreement sets
             fam = SubsetFamily(n, tuple([full] + others))
             fam_witness = naive_find_focal(fam, params)
-            view = _focus_view(code, focus, code.to_array(), params)
-            has_code = view is not None and _search_cover(view[1], c, s, view[0], False)
+            k, view = _view(code, focus)
+            has_code = _search_cover(view, c, s, k, False)
             has_fam = fam_witness is not None and fam_witness.focus == 0
             assert has_fam == bool(has_code), (code.words, focus, c, s)
             checked += 1
@@ -531,16 +544,18 @@ def test_focus_view_compresses_to_the_focus_points():
     # a family's traces are written over the focus's points, bit j for the
     # j-th point, the focus left out and the member order kept
     fam = SubsetFamily.from_iterables(4, [[2], [2, 4], [1], [4], [1, 2, 4]])
-    assert _focus_view(fam, 1, None, fp(2, 1)) == (2, [0b01, 0b00, 0b10, 0b11])
-    assert _focus_view(fam, 0, None, fp(2, 1)) == (1, [1, 0, 0, 1])
+    assert _view(fam, 1) == (2, [0b01, 0b00, 0b10, 0b11])
+    assert _view(fam, 0) == (1, [1, 0, 0, 1])
     # the empty focus is never refuted: k = 0 needs no incidences
     empty = SubsetFamily.from_iterables(2, [[1], [], [2]])
-    assert _focus_view(empty, 1, None, fp(2, 1)) == (0, [0, 0])
+    assert _view(empty, 1) == (0, [0, 0])
+    assert 1 in _surviving_foci(*_scan_array(empty), fp(2, 1))
     # on a code the compression is the identity
     code = Code(3, 3, ((1, 2, 3), (1, 2, 1), (2, 2, 3)))
-    assert _focus_view(code, 0, code.to_array(), fp(2, 1)) == (3, [0b011, 0b110])
+    assert _view(code, 0) == (3, [0b011, 0b110])
     # counting: each member meets the focus in at most 2 of 3 points, 4 * 2 < 3 * 3
-    assert _focus_view(code, 0, code.to_array(), fp(4, 3)) is None
+    assert 0 in _surviving_foci(*_scan_array(code), fp(2, 1))
+    assert 0 not in _surviving_foci(*_scan_array(code), fp(4, 3))
 
 
 def _relabelled(code, rng):
@@ -566,13 +581,11 @@ def _counting_calls(monkeypatch):
 
     monkeypatch.setattr(verify, "_search_cover", counted)
 
-    def viewed(obj, focus, arr, params, _real=verify._focus_view):
-        view = _real(obj, focus, arr, params)
-        if view is not None:
-            calls["viewed"].append(focus)
-        return view
+    def viewed(words, focus, _real=verify._kernels.agreement_masks):
+        calls["viewed"].append(focus)
+        return _real(words, focus)
 
-    monkeypatch.setattr(verify, "_focus_view", viewed)
+    monkeypatch.setattr(verify._kernels, "agreement_masks", viewed)
     return calls
 
 
@@ -752,6 +765,45 @@ def test_witness_maps_back_across_the_focus():
                 path = "distinct" if distinct else "pair scan" if (c, s) == (2, 1) else "repeatable"
                 straddling[path] += 1
     assert min(straddling.values()) >= 20, straddling
+
+
+def test_focus_blocks_give_the_default_witness(monkeypatch):
+    # the all-foci count runs over blocks of foci: blocks of 1, 2, 3 and 7
+    # rows refute the foci of the default block and give its witness, also
+    # when the witness focus lies past the first block
+    import frameproof_lab.verify as verify
+
+    rng = random.Random(1818)
+    cases = [
+        (SubsetFamily(3, (0b101,)), fp(2, 1)),
+        (Code(3, 2, ((1, 2),)), fp(2, 1)),
+        (SubsetFamily(3, (0b011, 0, 0b110)), fp(3, 2)),
+    ]
+    for trial in range(400):
+        c = rng.randint(2, 4)
+        obj = _random_instance(rng, trial)
+        if trial % 4 == 1:  # an empty member somewhere in the family
+            sets = list(obj.sets)
+            sets.insert(rng.randint(0, len(sets)), 0)
+            obj = SubsetFamily(obj.n, tuple(sets))
+        cases.append((obj, fp(c, rng.randint(1, c - 1))))
+    later = 0
+    for obj, params in cases:
+        repeatable = find_focal_hypergraph if isinstance(obj, SubsetFamily) else find_focal_code
+        for distinct, search in ((False, repeatable), (True, find_critical_focal)):
+            want = search(obj, params)
+            want_json = want and want.to_json()
+            kept = list(_surviving_foci(*_scan_array(obj), params))
+            for rows in (1, 2, 3, 7):
+                monkeypatch.setattr(verify, "_FOCUS_BLOCK", rows * len(obj))
+                assert list(_surviving_foci(*_scan_array(obj), params)) == kept
+                got = search(obj, params)
+                assert (got and got.to_json()) == want_json, (obj, params, distinct, rows)
+                later += got is not None and got.focus >= rows
+            monkeypatch.undo()
+            naive = naive_find_focal(obj, params, distinct)
+            assert (naive and naive.focus) == (want and want.focus), (obj, params, distinct)
+    assert later >= 200, later
 
 
 def test_reference_paths_do_not_use_the_kernels(monkeypatch):
