@@ -54,10 +54,15 @@ USER_ERRORS = (ParameterError, WitnessError, FormatError, GuardError)
 
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    if not out:
+        raise ParameterError("--out must name a file")
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"{out}: {exc}") from exc
 
 
 def _load_json(path: str) -> object:

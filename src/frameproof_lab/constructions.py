@@ -193,7 +193,7 @@ class Packing:
         for a, b in combinations(self.family.sets, 2):
             if (a & b).bit_count() >= self.t:
                 raise ParameterError("two blocks share t or more points")
-        if self.is_design != _design_flag(self.family, self.t):
+        if self.is_design != _design_flag(self.family, self.k, self.t):
             raise ParameterError("design flag does not match the block coverage")
 
     def to_json(self) -> dict:
@@ -206,18 +206,10 @@ class Packing:
         }
 
 
-def _design_flag(family: SubsetFamily, t: int) -> bool:
-    n, k = family.n, family.uniform_k or 0
-    if comb(n, t) % comb(k, t) or len(family) * comb(k, t) != comb(n, t):
-        return False
-    covered: set[int] = set()
-    for block in family.sets:
-        for pts in combinations(points_from_mask(block), t):
-            mask = mask_from_points(pts, n)
-            if mask in covered:
-                return False
-            covered.add(mask)
-    return len(covered) == comb(n, t)
+def _design_flag(family: SubsetFamily, k: int, t: int) -> bool:
+    # callers pass blocks meeting in fewer than t points, so no t-subset lies
+    # in two of them, and C(n,t)/C(k,t) blocks of k points cover every one
+    return len(family) * comb(k, t) == comb(family.n, t)
 
 
 def greedy_packing(
@@ -239,7 +231,7 @@ def greedy_packing(
         if all((cand & block).bit_count() < t for block in accepted):
             accepted.append(cand)
     family = SubsetFamily(n, tuple(accepted), k)
-    return Packing(family, t, _design_flag(family, t))
+    return Packing(family, t, _design_flag(family, k, t))
 
 
 @dataclass(frozen=True)
@@ -295,18 +287,13 @@ def load_design(path: str | Path) -> Packing:
     expected = comb(n, t) // comb(k, t)
     if len(blocks) != expected:
         raise FormatError(f"got {len(blocks)} blocks, a design needs {expected}")
-    covered: set[int] = set()
+    # C(n,t)/C(k,t) blocks of k points cover every t-subset if none twice
+    seen: set[tuple[int, ...]] = set()
     for block in blocks:
         for pts in combinations(points_from_mask(block), t):
-            mask = mask_from_points(pts, n)
-            if mask in covered:
+            if pts in seen:
                 raise FormatError(f"t-subset {pts} covered more than once")
-            covered.add(mask)
-    if len(covered) != comb(n, t):
-        missing = next(
-            m for m in enumerate_subsets(n, t) if m not in covered
-        )
-        raise FormatError(f"t-subset {points_from_mask(missing)} not covered")
+            seen.add(pts)
     try:
         family = SubsetFamily(n, tuple(blocks), k)
     except ParameterError as exc:
@@ -388,10 +375,12 @@ def induced_packing_family(
     """Greedy induced packing of the matching-complement pattern, plus the
     family of copy vertex sets.
 
-    Candidate vertex sets are scanned in colex (seeded shuffle optional) and
-    embeddings in identity-first permutation order; a candidate is accepted
-    with the first embedding passing all packing conditions against the
-    accepted copies.  budget caps the number of vertex sets examined.
+    Candidate vertex sets are scanned in colex (seeded shuffle optional);
+    budget caps how many are examined.  An accepted copy (V, E) rules out
+    every later W with |W & V| > t, or with W & V of size t and in E; a W
+    still alive takes its first embedding (in permutation order of its
+    points) whose edges avoid its t-point overlaps with the accepted copies.
+    Copies share no edge, since a shared edge would lie inside some W & V.
     """
     _check_budget(budget)
     if not n >= k:
@@ -403,35 +392,27 @@ def induced_packing_family(
     candidates = enumerate_subsets(n, k)
     if seed is not None:
         random.Random(seed).shuffle(candidates)
+    candidates = candidates[:budget]
+    cands = np.array(candidates, dtype=np.uint64)
+    alive = np.ones(len(candidates), dtype=bool)
     copies: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     vmasks: list[int] = []
-    edge_sets: list[set[int]] = []
-    used_edges: set[int] = set()
-    examined = 0
-    for vmask in candidates:
-        if budget is not None and examined >= budget:
-            break
-        examined += 1
-        overlaps = [vmask & w for w in vmasks]
-        if any(o.bit_count() > t for o in overlaps):
+    for pos, vmask in enumerate(candidates):
+        if not alive[pos]:
             continue
-        vpoints = points_from_mask(vmask)
-        for perm in permutations(range(k)):
-            verts = tuple(vpoints[i] for i in perm)
-            edges = {_embed_mask(e, verts) for e in pattern.sets}
-            if edges & used_edges:
-                continue
-            ok = True
-            for j, o in enumerate(overlaps):
-                if o.bit_count() == t and (o in edges or o in edge_sets[j]):
-                    ok = False
-                    break
-            if ok:
-                copies.append((verts, tuple(sorted(edges))))
-                vmasks.append(vmask)
-                edge_sets.append(edges)
-                used_edges |= edges
+        overlaps = {o for w in vmasks if (o := vmask & w).bit_count() == t}
+        for verts in permutations(points_from_mask(vmask)):
+            edges = sorted(_embed_mask(e, verts) for e in pattern.sets)
+            if overlaps.isdisjoint(edges):
                 break
+        else:
+            continue
+        copies.append((verts, tuple(edges)))
+        vmasks.append(vmask)
+        inter = cands[pos + 1 :] & np.uint64(vmask)
+        size = np.bitwise_count(inter)
+        out = (size > t) | ((size == t) & np.isin(inter, np.array(edges, dtype=np.uint64)))
+        alive[pos + 1 :] &= ~out
     packing = InducedPacking(k, t, pattern, tuple(copies))
     packing.validate(n)
     return packing, SubsetFamily(n, tuple(vmasks), k)

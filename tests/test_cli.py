@@ -246,6 +246,10 @@ MALFORMED = [
     ("verify", "--family", "{tmp}/schema.json", "--c", "2", "--s", "1"),
     ("verify", "--c", "2", "--s", "1"),
     ("verify", "--family", "", "--c", "2", "--s", "1"),
+    ("verify", "--family", "{data}/fano.json", "--c", "2", "--s", "1", "--out", ""),
+    ("verify", "--family", "{data}/fano.json", "--c", "2", "--s", "1",
+     "--out", "{tmp}/missing/x.json"),
+    ("verify", "--family", "{data}/fano.json", "--c", "2", "--s", "1", "--out", "{tmp}"),
     ("verify", "--code", "{tmp}/long.json", "--c", "2", "--s", "1", "--critical"),
     ("verify", "--family", "{tmp}/schema.json", "--c", "3", "--s", "3"),
     ("matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "2", "--k2", "2",
@@ -282,7 +286,7 @@ def test_malformed_invocations_exit_2(capsys, tmp_path):
     words = [[1] * 65, [2] * 65, [1] * 64 + [2]]
     (tmp_path / "long.json").write_text(json.dumps({"q": 2, "n": 65, "words": words}))
     for argv in MALFORMED:
-        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path, data=DATA) for arg in argv))
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "Traceback" not in err, argv

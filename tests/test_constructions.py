@@ -1,7 +1,8 @@
 import hashlib
 import json
 import random
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 from math import comb
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from frameproof_lab.core import (
     ParameterError,
     SubsetFamily,
     WitnessError,
+    enumerate_subsets,
     points_from_mask,
 )
 from frameproof_lab.constructions import (
@@ -207,6 +209,9 @@ def test_greedy_packing_examples():
     undeclared = constructions.Packing(SubsetFamily(4, p421.family.sets), 1, False)
     with pytest.raises(ParameterError):
         undeclared.k
+    mixed = constructions.Packing(SubsetFamily.from_iterables(5, [[1, 2, 3], [3, 4]]), 2, False)
+    with pytest.raises(ParameterError, match="not declared uniform"):
+        mixed.validate()
 
     with pytest.raises(ParameterError):
         greedy_packing(3, 3, 2)
@@ -399,3 +404,77 @@ def test_faithful_matches_reference_greedy(ncsq):
         for budget in (None, 0, 1, 7, q**n // 2):
             code = faithful_code_family(n, c, s, q, seed=seed, budget=budget)
             assert list(code.words) == _ref_faithful(n, c, s, q, seed, budget)
+
+
+def _ref_induced(k, c, s, n, seed, budget):
+    """The induced greedy as a plain loop over candidates, embeddings and
+    accepted copies, with every packing condition tested directly."""
+    if budget is not None and budget < 0:
+        raise ParameterError(f"budget {budget} must be >= 0")
+    if not n >= k:
+        raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    pattern = constructions.matching_complement_pattern(k, c, s)
+    t = pattern.uniform_k
+    candidates = enumerate_subsets(n, k)
+    if seed is not None:
+        random.Random(seed).shuffle(candidates)
+    copies, vmasks, edge_sets, used_edges = [], [], [], set()
+    for vmask in candidates[:budget]:
+        overlaps = [vmask & w for w in vmasks]
+        if any(o.bit_count() > t for o in overlaps):
+            continue
+        vpoints = points_from_mask(vmask)
+        for perm in permutations(range(k)):
+            verts = tuple(vpoints[i] for i in perm)
+            edges = {constructions._embed_mask(e, verts) for e in pattern.sets}
+            if edges & used_edges:
+                continue
+            if all(
+                o.bit_count() < t or (o not in edges and o not in edge_sets[j])
+                for j, o in enumerate(overlaps)
+            ):
+                copies.append((verts, tuple(sorted(edges))))
+                vmasks.append(vmask)
+                edge_sets.append(edges)
+                used_edges |= edges
+                break
+    return t, tuple(copies), tuple(vmasks)
+
+
+def _induced(k, c, s, n, seed, budget):
+    packing, family = induced_packing_family(k, c, s, n, seed=seed, budget=budget)
+    return packing.t, packing.copies, family.sets
+
+
+def _outcome(greedy, case):
+    try:
+        return greedy(*case)
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_induced_matches_reference_greedy(k, monkeypatch):
+    # the pattern is solved once per (k, c, s) for both greedies
+    monkeypatch.setattr(
+        constructions, "matching_complement_pattern", cache(matching_complement_pattern)
+    )
+    rng = random.Random(k)
+    for c in range(2, 7):
+        for s in range(1, c):
+            for n in range(k - 1, k + 5):
+                for seed in (None, rng.randrange(1 << 30)):
+                    # unbudgeted, the plain loop takes up to 0.1 s a case at
+                    # k = 5 on 8 or 9 points, and 1.5 s at k = 6 on 10
+                    full = k < 5 or n <= k + 2
+                    for budget in (None, 0, 1, 5, -1) if full else (0, 1, 5):
+                        case = (k, c, s, n, seed, budget)
+                        assert _outcome(_induced, case) == _outcome(_ref_induced, case), case
+
+
+def test_induced_matches_reference_greedy_on_high_bits():
+    # masks on 62 or 64 points use bits above 2^53, which a float cannot hold
+    for case in [(3, 4, 2, 62, 11, 2000), (3, 3, 2, 64, 1, 1000)]:
+        t, copies, vmasks = _induced(*case)
+        assert max(vmasks) >> 53
+        assert (t, copies, vmasks) == _ref_induced(*case), case
