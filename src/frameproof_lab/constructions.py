@@ -216,9 +216,12 @@ def greedy_packing(
     n: int, k: int, t: int, order: str = "colex", seed: int | None = None
 ) -> Packing:
     """Maximal-by-inclusion packing: scan k-subsets, accept when every
-    accepted block meets the candidate in fewer than t points."""
+    accepted block meets the candidate in fewer than t points.  Only the
+    seeded-random order takes a seed, and it requires one."""
     if not n > k > t >= 1:
         raise ParameterError(f"need n > k > t >= 1, got ({n},{k},{t})")
+    if comb(n, k) > MAX_CODEWORDS:
+        raise GuardError(f"C(n,k) = {comb(n, k)} candidate sets exceed the cap {MAX_CODEWORDS}")
     candidates = enumerate_subsets(n, k)
     if order == "seeded-random":
         if seed is None:
@@ -226,6 +229,8 @@ def greedy_packing(
         random.Random(seed).shuffle(candidates)
     elif order != "colex":
         raise ParameterError(f"unknown order {order!r}")
+    elif seed is not None:
+        raise ParameterError("a seed requires the seeded-random order")
     accepted: list[int] = []
     for cand in candidates:
         if all((cand & block).bit_count() < t for block in accepted):
@@ -385,10 +390,13 @@ def induced_packing_family(
     _check_budget(budget)
     if not n >= k:
         raise ParameterError(f"need n >= k, got n={n}, k={k}")
+    if comb(n, k) > MAX_CODEWORDS:
+        raise GuardError(f"C(n,k) = {comb(n, k)} candidate sets exceed the cap {MAX_CODEWORDS}")
     pattern = matching_complement_pattern(k, c, s)
     t = pattern.uniform_k
     if t is None:
         raise AssertionError("matching-complement pattern is not uniform")
+    edge_points = [points_from_mask(e) for e in pattern.sets]
     candidates = enumerate_subsets(n, k)
     if seed is not None:
         random.Random(seed).shuffle(candidates)
@@ -402,7 +410,7 @@ def induced_packing_family(
             continue
         overlaps = {o for w in vmasks if (o := vmask & w).bit_count() == t}
         for verts in permutations(points_from_mask(vmask)):
-            edges = sorted(_embed_mask(e, verts) for e in pattern.sets)
+            edges = sorted(sum(1 << (verts[p - 1] - 1) for p in e) for e in edge_points)
             if overlaps.isdisjoint(edges):
                 break
         else:

@@ -10,8 +10,11 @@ duplicated members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from . import _kernels
 
 MAX_GROUND = 64
 
@@ -311,6 +314,31 @@ def is_disjoint_collection(
     return True
 
 
+def _incidence_rows(family: SubsetFamily) -> np.ndarray:
+    """Members x n rows, 1 on a member's points and -(index + 1) elsewhere:
+    two distinct rows are equal exactly on the points both members contain."""
+    sets = np.array(family.sets, dtype=np.uint64).reshape(-1, 1)
+    inside = (sets >> np.arange(family.n, dtype=np.uint64) & np.uint64(1)) == 1
+    return np.where(inside, 1, -np.arange(1, len(family) + 1).reshape(-1, 1))
+
+
+def _own_split(rows: np.ndarray, r: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Per row x, the own and non-own r-subsets of its points (rows[x] > 0),
+    as column masks in colex order; a subset is non-own when another row
+    equals row x on all of it."""
+    for x in range(rows.shape[0]):
+        points = rows[x] > 0
+        others = np.delete(_kernels.agreement_masks(rows[:, points], x), x)
+        cols = np.flatnonzero(points).astype(np.uint64)
+        k = len(cols)
+        # the colex r-subsets of the k points, bit j for the j-th point
+        subs = np.array(enumerate_subsets(k, r) if r <= k else [], dtype=np.uint64)[:, None]
+        shared = ((subs & others) == subs).any(axis=1)
+        # bit j to column cols[j]: the map is increasing, so it keeps colex order
+        subsets = (subs >> np.arange(k, dtype=np.uint64) & np.uint64(1)) @ (np.uint64(1) << cols)
+        yield subsets[~shared].tolist(), subsets[shared].tolist()
+
+
 def own_subset_index(
     family: SubsetFamily, r: int
 ) -> dict[int, tuple[list[int], list[int]]]:
@@ -323,19 +351,4 @@ def own_subset_index(
         raise ParameterError("family must be nonempty")
     if not 0 <= r <= family.n:
         raise ParameterError(f"r={r} outside [0..{family.n}]")
-    out: dict[int, tuple[list[int], list[int]]] = {}
-    for i, a in enumerate(family.sets):
-        own: list[int] = []
-        non_own: list[int] = []
-        for pts in combinations(points_from_mask(a), r):
-            t = 0
-            for p in pts:
-                t |= 1 << (p - 1)
-            if any(j != i and t & b == t for j, b in enumerate(family.sets)):
-                non_own.append(t)
-            else:
-                own.append(t)
-        own.sort()
-        non_own.sort()
-        out[i] = (own, non_own)
-    return out
+    return dict(enumerate(_own_split(_incidence_rows(family), r)))

@@ -354,10 +354,10 @@ def matching_number_brute(instance: MatchingInstance) -> tuple[int, SubsetFamily
     sweeps all 2^M subfamilies for the largest one avoiding every support.
     """
     n, t, params = instance.n, instance.t, instance.params
-    candidates = enumerate_subsets(n, t)
-    m = len(candidates)
+    m = comb(n, t)
     if m > 24:
         raise ParameterError(f"brute-force oracle capped at C(n,t) <= 24, got {m}")
+    candidates = enumerate_subsets(n, t)
     supports = _qualifying_supports(candidates, n, params)
     size, member_mask = _kernels.max_subfamily_avoiding(sorted(supports), m)
     picked = tuple(

@@ -5,12 +5,13 @@ property when every focus point (coordinate) is covered at least s times by
 the coalition.  The searches here are exhaustive: a returned witness always
 re-validates by direct counting, and a None answer means no witness exists.
 
-Codes and families are scanned as one array: a code's words judged on every
-coordinate, a family's 0/1 incidence vectors each judged on its own points.
-A focus is first refuted by counting where it can be: c coalition members
-cover at most c * max_B |A & B| incidences of the focus A, and a cover needs
-s * |A|; all foci are counted a block at a time, so an early witness ends
-the scan.  This is the paper's pigeonhole and distance bound (c(n-d) < s*n
+Codes and families are scanned as one array, words or rows that are 1 on a
+member's points and unique to the row elsewhere: a row is positive exactly
+where it is judged, and two members agree exactly where their rows are
+equal.  The own-subsequence census reads the same array.  A focus is first
+refuted by counting where it can be: c coalition members cover at most
+c * max_B |A & B| incidences of the focus A, and a cover needs s * |A|; all
+foci are counted a block at a time, so an early witness ends the scan.  This is the paper's pigeonhole and distance bound (c(n-d) < s*n
 on a code), so a code it certifies is decided without any search.  A focus
 that survives gets one view, the other members' agreement masks of its k
 points (bit j for the j-th point), decided on its reduced instance: a
@@ -49,6 +50,8 @@ from .core import (
     SubsetFamily,
     WitnessError,
     FormatError,
+    _incidence_rows,
+    _own_split,
     enumerate_subsets,
     full_mask,
     points_from_mask,
@@ -283,21 +286,17 @@ def _search_cover(
     return tuple(out) if dfs(c - 1, m - 1) else None
 
 
-def _scan_array(obj: SubsetFamily | Code) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, judged): a code's words judged on every coordinate, or a
-    family's 0/1 incidence vectors each judged on its own points, where a
-    member agrees with a focus at one of its points when it contains it."""
-    if isinstance(obj, Code):
-        rows = obj.to_array()
-        return rows, np.ones(rows.shape, dtype=bool)
-    sets = np.array(obj.sets, dtype=np.uint64).reshape(-1, 1)
-    rows = (sets >> np.arange(obj.n, dtype=np.uint64) & np.uint64(1)).astype(np.int64)
-    return rows, rows == 1
+def _scan_array(obj: SubsetFamily | Code) -> np.ndarray:
+    """A code's words or a family's incidence rows: positive exactly where a
+    row is judged, and equal exactly where two members agree."""
+    if isinstance(obj, SubsetFamily):
+        return _incidence_rows(obj)
+    if obj.n > 64:
+        raise ParameterError("word length exceeds 64")
+    return obj.to_array()
 
 
-def _surviving_foci(
-    rows: np.ndarray, judged: np.ndarray, params: FrameproofParams
-) -> Iterator[int]:
+def _surviving_foci(rows: np.ndarray, params: FrameproofParams) -> Iterator[int]:
     """The foci that the counting bound does not refute, in index order.
 
     Agreements are counted column by column for a block of foci at a time,
@@ -305,15 +304,15 @@ def _surviving_foci(
     before the later blocks are counted.
     """
     size = rows.shape[0]
-    cols, judged_cols = np.ascontiguousarray(rows.T), np.ascontiguousarray(judged.T)
-    need = params.s * judged.sum(axis=1)
+    cols = np.ascontiguousarray(rows.T)
+    need = params.s * (rows > 0).sum(axis=1)
     step = max(1, _FOCUS_BLOCK // size)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         # counts are at most n <= 64
         counts = np.zeros((hi - lo, size), dtype=np.uint8)
-        for col, own in zip(cols, judged_cols):
-            counts += (col[lo:hi, None] == col) & own[lo:hi, None]
+        for col in cols:
+            counts += col[lo:hi, None] == col
         counts[np.arange(hi - lo), np.arange(lo, hi)] = 0
         cover = params.c * counts.max(axis=1).astype(np.int64)
         yield from (lo + np.flatnonzero(need[lo:hi] <= cover)).tolist()
@@ -344,14 +343,12 @@ def _scan_foci(
     distinct: bool,
     guards: Guards | None,
 ) -> FocalWitness | None:
-    if isinstance(obj, Code) and obj.n > 64:
-        raise ParameterError("word length exceeds 64")
+    rows = _scan_array(obj)
     _check_guards(len(obj), params.c, guards)
-    rows, judged = _scan_array(obj)
     refuted: set[tuple[int, tuple]] = set()
-    for focus in _surviving_foci(rows, judged, params):
+    for focus in _surviving_foci(rows, params):
         # the focus row agrees with itself on all k of its points
-        points = judged[focus]
+        points = rows[focus] > 0
         k = int(points.sum())
         masks = _kernels.agreement_masks(rows[:, points], focus).tolist()
         del masks[focus]
@@ -588,31 +585,11 @@ def own_subsequence_census(code: Code, r: int) -> OwnCensus:
     """For every word x and r-set S: x_S is own iff no other word matches on S."""
     if not 0 <= r <= code.n:
         raise ParameterError(f"r={r} outside [0..{code.n}]")
-    m = len(code)
-    arr = code.to_array() if m else None
-    agree = [
-        [int(v) for v in _kernels.agreement_masks(arr, x)] if m > 1 else []
-        for x in range(m)
-    ]
-    own: list[tuple[int, ...]] = []
-    non_own: list[tuple[int, ...]] = []
+    split = list(_own_split(_scan_array(code), r))
     u_sets: dict[int, set[int]] = {s: set() for s in enumerate_subsets(code.n, r)}
-    for x in range(m):
-        mine: list[int] = []
-        shared: list[int] = []
-        for s_mask in u_sets:
-            if any(
-                y != x and agree[x][y] & s_mask == s_mask for y in range(m)
-            ):
-                shared.append(s_mask)
-            else:
-                mine.append(s_mask)
-                u_sets[s_mask].add(x)
-        own.append(tuple(mine))
-        non_own.append(tuple(shared))
-    return OwnCensus(
-        r,
-        tuple(own),
-        tuple(non_own),
-        {s: frozenset(v) for s, v in u_sets.items()},
-    )
+    for x, (mine, _) in enumerate(split):
+        for s_mask in mine:
+            u_sets[s_mask].add(x)
+    own = tuple(tuple(mine) for mine, _ in split)
+    non_own = tuple(tuple(shared) for _, shared in split)
+    return OwnCensus(r, own, non_own, {s: frozenset(v) for s, v in u_sets.items()})

@@ -2,7 +2,8 @@
 
 Each suite runs at least 200 cases from a fixed seed and raises AssertionError
 with context on the first violation.  Suites return the number of cases they
-actually checked so the caller can enforce the floor.
+actually checked so the caller can enforce the floor.  The plain-loop
+references of the own-subset census live here too, for the suites and tests.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from frameproof_lab.matching import (
 from frameproof_lab.verify import (
     Code,
     FocalWitness,
+    OwnCensus,
+    agreement_mask,
     distinctify_witness,
     find_critical_focal,
     find_focal_code,
@@ -86,6 +89,42 @@ def quantifier_disjoint(collection, n, params, within=None) -> bool:
             if union & ground != ground:
                 return False
     return True
+
+
+def _ref_own_subset_index(family: SubsetFamily, r: int) -> dict[int, tuple[list[int], list[int]]]:
+    """own_subset_index as a plain loop over every member pair and every
+    r-subset of a member's points."""
+    out = {}
+    for i, a in enumerate(family.sets):
+        own, non_own = [], []
+        for pts in combinations(points_from_mask(a), r):
+            t = sum(1 << (p - 1) for p in pts)
+            if any(j != i and t & b == t for j, b in enumerate(family.sets)):
+                non_own.append(t)
+            else:
+                own.append(t)
+        out[i] = (sorted(own), sorted(non_own))
+    return out
+
+
+def _ref_census(code: Code, r: int) -> OwnCensus:
+    """own_subsequence_census as a plain loop over every word pair and every
+    r-set, from the pure-Python agreement masks."""
+    m = len(code)
+    agree = [[agreement_mask(code.words[x], code.words[y]) for y in range(m)] for x in range(m)]
+    own, non_own = [], []
+    u_sets = {s: set() for s in enumerate_subsets(code.n, r)}
+    for x in range(m):
+        mine, shared = [], []
+        for s_mask in u_sets:
+            if any(y != x and agree[x][y] & s_mask == s_mask for y in range(m)):
+                shared.append(s_mask)
+            else:
+                mine.append(s_mask)
+                u_sets[s_mask].add(x)
+        own.append(tuple(mine))
+        non_own.append(tuple(shared))
+    return OwnCensus(r, tuple(own), tuple(non_own), {s: frozenset(v) for s, v in u_sets.items()})
 
 
 def _disjoint_parts_inside(rng: random.Random, c: int, s: int, k: int):
@@ -264,7 +303,8 @@ def suite_pi_census_correspondence() -> int:
         r = rng.randint(0, n)
         census = own_subsequence_census(code, r)
         view, fam = code_to_multipartite(code)
-        idx = own_subset_index(fam, r)
+        # the census against the reference loop on the image family
+        idx = _ref_own_subset_index(fam, r)
         for i in range(len(code)):
             own_through_pi = {view.coordinates_mask(m) for m in idx[i][0]}
             assert own_through_pi == set(census.own[i]), (code.words, r, i)

@@ -258,6 +258,8 @@ MALFORMED = [
     ("construct", "faithful", "--n", "4", "--c", "3", "--s", "2", "--q", "4", "--budget", "-1"),
     ("construct", "induced", "--k", "3", "--c", "4", "--s", "2", "--n", "7", "--budget", "-1"),
     ("construct", "packing", "--n", "7", "--k", "3", "--t", "2", "--order", "seeded-random"),
+    ("construct", "packing", "--n", "8", "--k", "3", "--t", "2", "--seed", "3"),
+    ("construct", "packing", "--n", "64", "--k", "32", "--t", "2"),
     ("construct", "rs", "--q", "6", "--n", "3", "--t", "2"),
     ("attack", "--code", "{tmp}/bad.json", "--coalition", "0", "--s", "1"),
     ("bounds", "matching", "--n", "3", "--t", "5", "--lambda", "2", "--s1", "1", "--s2", "1"),

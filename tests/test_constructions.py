@@ -217,6 +217,8 @@ def test_greedy_packing_examples():
         greedy_packing(3, 3, 2)
     with pytest.raises(ParameterError):
         greedy_packing(7, 3, 2, order="seeded-random")  # seed required
+    with pytest.raises(ParameterError, match="seeded-random order"):
+        greedy_packing(8, 3, 2, seed=3)  # colex takes no seed
 
 
 def test_greedy_packing_seeded_random_is_deterministic():
@@ -299,15 +301,24 @@ def test_induced_packing_examples():
 
 def test_cheap_checks_precede_the_pattern_solve(monkeypatch):
     def unexpected(*args):
-        raise AssertionError("pattern solved before the argument checks")
+        raise AssertionError("pattern solved or candidates listed before the argument checks")
 
     monkeypatch.setattr(constructions, "matching_complement_pattern", unexpected)
+    monkeypatch.setattr(constructions, "enumerate_subsets", unexpected)
     with pytest.raises(GuardError):
         faithful_code_family(8, 6, 3, 6)  # 6^8 candidate words
     with pytest.raises(ParameterError):
         faithful_code_family(4, 3, 2, 1)
     with pytest.raises(ParameterError):
         induced_packing_family(8, 6, 3, 5)  # n < k
+    # C(24,12) and more candidate sets exceed MAX_CODEWORDS, budget or not
+    assert comb(24, 12) > constructions.MAX_CODEWORDS
+    with pytest.raises(GuardError, match="candidate sets exceed the cap"):
+        greedy_packing(64, 32, 2)
+    with pytest.raises(GuardError, match="candidate sets exceed the cap"):
+        greedy_packing(24, 12, 2, order="seeded-random", seed=1)
+    with pytest.raises(GuardError, match="candidate sets exceed the cap"):
+        induced_packing_family(12, 2, 1, 24, budget=5)
 
 
 def test_negative_budgets_rejected():

@@ -526,6 +526,16 @@ def test_brute_oracle_shares_no_code_with_the_solver(monkeypatch):
     assert value == len(family) == 10
 
 
+def test_brute_oracle_checks_its_size_before_enumerating(monkeypatch):
+    # C(8,4) = 70 candidates exceed the cap of 24; no subset list is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("candidates enumerated before the size check")
+
+    monkeypatch.setattr(matching, "enumerate_subsets", refuse)
+    with pytest.raises(ParameterError, match="C\\(n,t\\) <= 24, got 70"):
+        matching_number_brute(inst(8, 4, 2, 2, 2))
+
+
 # brute-force m at the six k = 7 cells with C(7,t) = 21 candidates; the
 # solver at node budget 2500 proves all but (4,1,7), where it finds the
 # value without closing the search.  There t = 2, lam = 3 and k1 = 2: graphs

@@ -11,6 +11,7 @@ from frameproof_lab.core import (
     SubsetFamily,
     WitnessError,
     is_disjoint_collection,
+    own_subset_index,
     points_from_mask,
 )
 from frameproof_lab.verify import (
@@ -33,6 +34,7 @@ from frameproof_lab.verify import (
     validate_witness,
 )
 from frameproof_lab.constructions import rs_code
+from property_suites import _ref_census, _ref_own_subset_index
 
 
 def fp(c, s):
@@ -44,8 +46,8 @@ def _view(obj, focus):
     scan builds them for a focus that counting does not refute."""
     from frameproof_lab import _kernels
 
-    rows, judged = _scan_array(obj)
-    points = judged[focus]
+    rows = _scan_array(obj)
+    points = rows[focus] > 0
     masks = _kernels.agreement_masks(rows[:, points], focus).tolist()
     del masks[focus]
     return int(points.sum()), masks
@@ -215,6 +217,41 @@ def test_own_subsequence_census_examples():
     rs = rs_code(3, 3, 2)
     cen = own_subsequence_census(rs, 2)
     assert all(len(cen.own[i]) == 3 for i in range(len(rs)))
+
+    long = Code(2, 65, ((1,) * 65, (2,) * 65))
+    with pytest.raises(ParameterError, match="word length exceeds 64"):
+        own_subsequence_census(long, 1)
+
+
+def test_census_matches_the_reference_loops():
+    # families with an empty or a single member, codes with no or one word,
+    # points above 2^53, and seeded random ones, each at every r from 0 to n
+    rng = random.Random(2024)
+    objs = [SubsetFamily(3, (0,)), SubsetFamily(3, (0b101,)), SubsetFamily(4, (0, 0b0110, 0b1111)),
+            SubsetFamily(64, (1 << 63 | 1 << 62 | 1, 1 << 63 | 0b101, 1 << 54)),
+            Code(2, 3, ()), Code(3, 2, ((1, 2),))]
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        if trial % 2:
+            pool = list(range(1 << n))
+            rng.shuffle(pool)
+            objs.append(SubsetFamily(n, tuple(pool[: rng.randint(1, 9)])))
+        else:
+            q = rng.randint(2, 4)
+            size = rng.randint(0, min(9, q**n))
+            words = set()
+            while len(words) < size:
+                words.add(tuple(rng.randint(1, q) for _ in range(n)))
+            objs.append(Code(q, n, tuple(sorted(words))))
+    cases = [(obj, r) for obj in objs for r in range(obj.n + 1)]
+    for obj, r in cases:
+        if isinstance(obj, SubsetFamily):
+            assert own_subset_index(obj, r) == _ref_own_subset_index(obj, r), (obj, r)
+        else:
+            got, want = own_subsequence_census(obj, r), _ref_census(obj, r)
+            assert got == want, (obj, r)
+            assert list(got.u_sets) == list(want.u_sets)  # colex order of the r-sets
+    assert len(cases) > 500
 
 
 def test_census_partition_union_law():
@@ -549,13 +586,13 @@ def test_focus_view_compresses_to_the_focus_points():
     # the empty focus is never refuted: k = 0 needs no incidences
     empty = SubsetFamily.from_iterables(2, [[1], [], [2]])
     assert _view(empty, 1) == (0, [0, 0])
-    assert 1 in _surviving_foci(*_scan_array(empty), fp(2, 1))
+    assert 1 in _surviving_foci(_scan_array(empty), fp(2, 1))
     # on a code the compression is the identity
     code = Code(3, 3, ((1, 2, 3), (1, 2, 1), (2, 2, 3)))
     assert _view(code, 0) == (3, [0b011, 0b110])
     # counting: each member meets the focus in at most 2 of 3 points, 4 * 2 < 3 * 3
-    assert 0 in _surviving_foci(*_scan_array(code), fp(2, 1))
-    assert 0 not in _surviving_foci(*_scan_array(code), fp(4, 3))
+    assert 0 in _surviving_foci(_scan_array(code), fp(2, 1))
+    assert 0 not in _surviving_foci(_scan_array(code), fp(4, 3))
 
 
 def _relabelled(code, rng):
@@ -793,10 +830,10 @@ def test_focus_blocks_give_the_default_witness(monkeypatch):
         for distinct, search in ((False, repeatable), (True, find_critical_focal)):
             want = search(obj, params)
             want_json = want and want.to_json()
-            kept = list(_surviving_foci(*_scan_array(obj), params))
+            kept = list(_surviving_foci(_scan_array(obj), params))
             for rows in (1, 2, 3, 7):
                 monkeypatch.setattr(verify, "_FOCUS_BLOCK", rows * len(obj))
-                assert list(_surviving_foci(*_scan_array(obj), params)) == kept
+                assert list(_surviving_foci(_scan_array(obj), params)) == kept
                 got = search(obj, params)
                 assert (got and got.to_json()) == want_json, (obj, params, distinct, rows)
                 later += got is not None and got.focus >= rows
