@@ -111,6 +111,10 @@ def hypergraph_bounds(
     total_k = comb(k, t)
     if not 0 <= m_value <= total_k:
         raise ParameterError(f"matching number m={m_value} outside [0..C({k},{t})={total_k}]")
+    if packing_size is not None and not 0 <= packing_size <= total_n // total_k:
+        raise ParameterError(
+            f"packing size {packing_size} outside [0..C({n},{t})//C({k},{t})={total_n // total_k}]"
+        )
     denom = total_k - m_value
     entries: list[BoundEntry] = []
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -226,15 +226,15 @@ def greedy_packing(
     if order == "seeded-random":
         if seed is None:
             raise ParameterError("seeded-random order requires a seed")
-        random.Random(seed).shuffle(candidates)
     elif order != "colex":
         raise ParameterError(f"unknown order {order!r}")
     elif seed is not None:
         raise ParameterError("a seed requires the seeded-random order")
+    cands = np.array(candidates, dtype=np.uint64)[_scan_order(len(candidates), seed)]
     accepted: list[int] = []
-    for cand in candidates:
-        if all((cand & block).bit_count() < t for block in accepted):
-            accepted.append(cand)
+    for pos, later in _forward_scan(len(cands)):
+        accepted.append(int(cands[pos]))
+        later &= np.bitwise_count(cands[pos + 1 :] & cands[pos]) < t
     family = SubsetFamily(n, tuple(accepted), k)
     return Packing(family, t, _design_flag(family, k, t))
 
@@ -358,6 +358,25 @@ def _check_budget(budget: int | None) -> None:
         raise ParameterError(f"budget {budget} must be >= 0")
 
 
+def _scan_order(size: int, seed: int | None, budget: int | None = None) -> list[int]:
+    """Candidate indices in scan order: shuffled when seeded, then the first budget."""
+    order = list(range(size))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return order[:budget]
+
+
+def _forward_scan(count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (pos, later) for each candidate still alive; the caller clears, in
+    place in the alive flags after pos, the later candidates that pos rules out."""
+    alive = np.ones(count, dtype=bool)
+    pos = 0
+    while pos < count:
+        later = alive[pos + 1 :]
+        yield pos, later
+        pos = pos + 1 + int(later.argmax()) if later.any() else count
+
+
 def matching_complement_pattern(k: int, c: int, s: int) -> SubsetFamily:
     """The t-subsets of [k] outside an extremal collection-free family."""
     lam, t = lambda_of(c, s, k)
@@ -398,16 +417,11 @@ def induced_packing_family(
         raise AssertionError("matching-complement pattern is not uniform")
     edge_points = [points_from_mask(e) for e in pattern.sets]
     candidates = enumerate_subsets(n, k)
-    if seed is not None:
-        random.Random(seed).shuffle(candidates)
-    candidates = candidates[:budget]
-    cands = np.array(candidates, dtype=np.uint64)
-    alive = np.ones(len(candidates), dtype=bool)
+    cands = np.array(candidates, dtype=np.uint64)[_scan_order(len(candidates), seed, budget)]
     copies: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     vmasks: list[int] = []
-    for pos, vmask in enumerate(candidates):
-        if not alive[pos]:
-            continue
+    for pos, later in _forward_scan(len(cands)):
+        vmask = int(cands[pos])
         overlaps = {o for w in vmasks if (o := vmask & w).bit_count() == t}
         for verts in permutations(points_from_mask(vmask)):
             edges = sorted(sum(1 << (verts[p - 1] - 1) for p in e) for e in edge_points)
@@ -417,10 +431,9 @@ def induced_packing_family(
             continue
         copies.append((verts, tuple(edges)))
         vmasks.append(vmask)
-        inter = cands[pos + 1 :] & np.uint64(vmask)
+        inter = cands[pos + 1 :] & cands[pos]
         size = np.bitwise_count(inter)
-        out = (size > t) | ((size == t) & np.isin(inter, np.array(edges, dtype=np.uint64)))
-        alive[pos + 1 :] &= ~out
+        later &= (size < t) | ((size == t) & ~np.isin(inter, np.array(edges, dtype=np.uint64)))
     packing = InducedPacking(k, t, pattern, tuple(copies))
     packing.validate(n)
     return packing, SubsetFamily(n, tuple(vmasks), k)
@@ -445,6 +458,10 @@ class MultipartiteView:
     n: int
 
     def __post_init__(self) -> None:
+        if self.q < 2:
+            raise ParameterError(f"alphabet size q={self.q} must be >= 2")
+        if self.n < 1:
+            raise ParameterError(f"word length n={self.n} must be >= 1")
         if self.n * self.q > 64:
             raise ParameterError(
                 f"transform ground set {self.n}*{self.q} exceeds 64 points"
@@ -518,23 +535,10 @@ def faithful_code_family(
     # two words agreeing on exactly these coordinates cannot both be accepted
     rejected = np.bitwise_count(np.arange(1 << n)) > t
     rejected[list(pattern.sets)] = True
-    # candidates in product() order, shuffled by index; only the first
-    # budget of them are examined
-    order = list(range(size))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
-    index = np.array(order[: size if budget is None else budget], dtype=np.int64)
+    index = np.array(_scan_order(size, seed, budget), dtype=np.int64)
     words = index[:, None] // q ** np.arange(n - 1, -1, -1) % q + 1
-    # each accepted word rejects every later candidate it conflicts with, so
-    # the next candidate still alive is the next one the greedy accepts
-    alive = np.ones(len(words), dtype=bool)
     accepted = []
-    pos = 0
-    while pos < len(words):
+    for pos, later in _forward_scan(len(words)):
         accepted.append(pos)
-        alive[pos:] &= ~rejected[_kernels.agreement_masks(words[pos:], 0)]
-        later = alive[pos + 1 :]
-        if not later.any():
-            break
-        pos += 1 + int(later.argmax())
+        later &= ~rejected[_kernels.agreement_masks(words[pos:], 0)[1:]]
     return Code(q, n, tuple(map(tuple, words[accepted].tolist())))

@@ -98,6 +98,18 @@ def test_code_bounds_errors():
         code_bounds(1, 2, 1, 5, 0)
 
 
+def test_hypergraph_bounds_packing_size_range():
+    # a strength-2 packing of triples on 9 points has at most C(9,2)//C(3,2) = 12 blocks
+    for size in (0, 12):
+        r = hypergraph_bounds(9, 3, 2, 1, 1, packing_size=size)
+        assert by_source(r, "packing construction").value == size
+    for size in (13, -4):
+        with pytest.raises(ParameterError, match="packing size"):
+            hypergraph_bounds(9, 3, 2, 1, 1, packing_size=size)
+    with pytest.raises(ParameterError, match="packing size 8"):
+        hypergraph_bounds(7, 3, 4, 2, 0, packing_size=8, design_available=True)
+
+
 def test_all_values_exact_types():
     r = hypergraph_bounds(9, 3, 4, 2, 0, packing_size=12, design_available=True)
     for e in r.entries:

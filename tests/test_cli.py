@@ -276,6 +276,10 @@ MALFORMED = [
     ("bounds", "hypergraph", "--n", "12", "--k", "4", "--c", "3", "--s", "1", "--m", "-5"),
     ("bounds", "hypergraph", "--n", "12", "--k", "4", "--c", "3", "--s", "1", "--m", "7"),
     ("bounds", "hypergraph", "--n", "12", "--k", "1", "--c", "3", "--s", "1", "--m", "0"),
+    ("bounds", "hypergraph", "--n", "9", "--k", "3", "--c", "2", "--s", "1", "--m", "1",
+     "--packing-size", "13"),
+    ("bounds", "hypergraph", "--n", "9", "--k", "3", "--c", "2", "--s", "1", "--m", "1",
+     "--packing-size", "-4"),
     ("bounds", "code", "--n", "5", "--c", "2", "--s", "1", "--q", "5", "--m", "11"),
     ("bounds", "code", "--n", "5", "--c", "2", "--s", "1", "--q", "5", "--m", "-1"),
 ]

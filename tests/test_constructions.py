@@ -20,6 +20,7 @@ from frameproof_lab.core import (
     points_from_mask,
 )
 from frameproof_lab.constructions import (
+    MultipartiteView,
     certify_frameproof_by_distance,
     code_to_multipartite,
     faithful_code_family,
@@ -362,6 +363,16 @@ def test_pi_ground_cap():
         code_to_multipartite(rs_code(9, 9, 2))
 
 
+def test_pi_view_rejects_nonpositive_sizes():
+    with pytest.raises(ParameterError, match="alphabet size q=-3"):
+        MultipartiteView(-3, -4)
+    with pytest.raises(ParameterError, match="alphabet size q=1"):
+        MultipartiteView(1, 3)
+    with pytest.raises(ParameterError, match="word length n=0"):
+        MultipartiteView(3, 0)
+    assert MultipartiteView(2, 1).ground == 2
+
+
 # --- faithful code families ---------------------------------------------------
 
 
@@ -489,3 +500,29 @@ def test_induced_matches_reference_greedy_on_high_bits():
         t, copies, vmasks = _induced(*case)
         assert max(vmasks) >> 53
         assert (t, copies, vmasks) == _ref_induced(*case), case
+
+
+# --- the packing greedy against its reference loop ----------------------------
+
+
+def _ref_packing(n, k, t, order="colex", seed=None):
+    """The packing greedy as a plain loop over candidates and accepted blocks."""
+    candidates = enumerate_subsets(n, k)
+    if order == "seeded-random":
+        random.Random(seed).shuffle(candidates)
+    accepted = []
+    for cand in candidates:
+        if all((cand & block).bit_count() < t for block in accepted):
+            accepted.append(cand)
+    return accepted
+
+
+def test_packing_matches_reference_greedy():
+    small = [(n, k, t) for n in range(3, 11) for k in range(2, n) for t in range(1, k)]
+    # blocks on 64 points reach bit 63, which a float cannot hold
+    for case in small + [(64, 2, 1), (64, 3, 1), (16, 8, 7)]:
+        for seed in (None, 0, 19):
+            order = "colex" if seed is None else "seeded-random"
+            packing = greedy_packing(*case, order=order, seed=seed)
+            assert list(packing.family.sets) == _ref_packing(*case, order, seed), (case, seed)
+    assert max(greedy_packing(64, 2, 1).family.sets) >> 63
