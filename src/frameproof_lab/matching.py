@@ -6,19 +6,24 @@ lam-k2+1 and k1-1.  The solver is a branch-and-bound over the colex list of
 t-subsets.  It first compiles the instance once: one count DFS collects the
 inclusion-minimal violating supports (sets of candidate indices carrying a
 qualifying collection), each registered at its highest index.  Legality of
-an inclusion is then a bitmask test against the chosen indices.  The
-count-DFS violation oracle stays as the exact-certificate re-check, and a
-brute-force sweep over all subfamilies doubles as an independent
-cross-check on tiny instances.
+an inclusion is then a bitmask test against the chosen indices.  The search
+stops at a cap: the closed-form upper bound, tightened by Katona's
+cyclic-order averaging, C(n,t) * alpha / n, where alpha is the most of the
+n cyclic intervals a family can hold.  When the node budget runs out and
+one of the two pierced stars of the closed lower bound reaches the cap,
+that star is the certified optimum.  The count-DFS violation oracle stays
+as the exact-certificate re-check, and a brute-force sweep over all
+subfamilies doubles as an independent cross-check on tiny instances.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, islice
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,49 +87,49 @@ def _find_violating(
         return None
     counts = [0] * n
     chosen: list[int] = []
+    points = [[p for p in range(n) if mask >> p & 1] for mask in masks]
 
-    def apply(mask: int, delta: int) -> bool:
+    def apply(v: int, delta: int) -> bool:
         ok = True
-        for p in range(n):
-            if mask & (1 << p):
-                counts[p] += delta
-                if counts[p] > hi:
-                    ok = False
+        for p in points[v]:
+            counts[p] += delta
+            if counts[p] > hi:
+                ok = False
         return ok
 
     slots = lam
     if must_include is not None:
-        apply(masks[must_include], 1)
-        if any(c > hi for c in counts):
-            apply(masks[must_include], -1)
+        if not apply(must_include, 1):
+            apply(must_include, -1)
             return None
         slots -= 1
 
     def feasible(remaining: int) -> bool:
         # every point must still be able to reach the lower bound
-        return all(c + remaining >= lo for c in counts)
+        return min(counts) + remaining >= lo
 
     def dfs(start: int, remaining: int) -> bool:
+        # counts never pass hi here: apply refuses the step that would
         if remaining == 0:
-            return all(lo <= c <= hi for c in counts)
+            return min(counts) >= lo
         if not feasible(remaining):
             return False
         for v in range(start, len(masks)):
-            if apply(masks[v], 1):
+            if apply(v, 1):
                 chosen.append(v)
                 if dfs(v, remaining - 1):
                     return True
                 chosen.pop()
-            apply(masks[v], -1)
+            apply(v, -1)
         return False
 
     if not feasible(slots):
         if must_include is not None:
-            apply(masks[must_include], -1)
+            apply(must_include, -1)
         return None
     found = dfs(0, slots)
     if must_include is not None:
-        apply(masks[must_include], -1)
+        apply(must_include, -1)
     if not found:
         return None
     result = list(chosen)
@@ -237,9 +242,13 @@ def matching_number_exact(
     colex t-subset list in increasing index order from a legal prefix, so
     candidate i is legal iff no support registered at i lies inside the
     chosen-index bitmask.  The search is bounded by remaining candidates and
-    the closed-form upper bound.  budget caps the branch-and-bound nodes
-    (the compile is not counted); running out downgrades the status to
-    "lower-only", and explored never exceeds the budget.
+    stops at the first family of size cap.  With k1 and k2 finite and >= 2,
+    cap is the closed-form upper bound, and for 1 < t < n also
+    C(n,t) * alpha // n (see _interval_alpha).  budget caps the
+    branch-and-bound nodes (neither the compile nor alpha is counted), and
+    explored never exceeds it.  Running out downgrades the status to
+    "lower-only", unless a pierced star (_pierced_stars) has exactly cap
+    members: that star is then returned as "exact".
     """
     if budget is not None and budget < 0:
         raise ParameterError(f"node budget {budget} must be >= 0")
@@ -255,17 +264,22 @@ def matching_number_exact(
             total, SubsetFamily(n, tuple(candidates), t), "exact", 0
         )
 
-    cap = total
-    if params.k1 is not None and params.k2 is not None and min(params.k1, params.k2) >= 2:
-        report = matching_closed_bounds(n, t, params.lam, params.k1 - 1, params.k2 - 1)
-        for entry in report.entries:
-            if entry.direction == "upper" and entry.applicable:
-                cap = min(cap, int(entry.value))
-
     registered: list[list[int]] = [[] for _ in candidates]
     for support in _minimal_supports(candidates, n, params):
         top = support.bit_length() - 1
         registered[top].append(support ^ (1 << top))
+
+    cap = total
+    two_sided = params.k1 is not None and params.k2 is not None and min(params.k1, params.k2) >= 2
+    if two_sided:
+        report = matching_closed_bounds(n, t, params.lam, params.k1 - 1, params.k2 - 1)
+        for entry in report.entries:
+            if entry.direction == "upper" and entry.applicable:
+                cap = min(cap, int(entry.value))
+        # at t = 1 the intervals are all the candidates, so alpha would be m
+        # itself, found outside the node budget
+        if 1 < t < n:
+            cap = min(cap, total * _interval_alpha(n, t, candidates, registered) // n)
 
     best: list[int] = []
     chosen: list[int] = []
@@ -298,11 +312,101 @@ def matching_number_exact(
         return False
 
     dfs(0)
-    family = SubsetFamily(n, tuple(candidates[i] for i in best), t)
+    sets = tuple(candidates[i] for i in best)
     status = "lower-only" if exhausted else "exact"
+    if exhausted and two_sided:
+        # a pierced star of size cap closes the sandwich
+        for star in _pierced_stars(n, t, params, candidates):
+            if len(star) == cap:
+                sets, status = star, "exact"
+                break
+    family = SubsetFamily(n, sets, t)
     if status == "exact" and find_violating_collection(family, params) is not None:
         raise AssertionError("exact matching family contains a violating collection")
-    return MatchingCertificate(len(best), family, status, budget_box.used)
+    return MatchingCertificate(len(sets), family, status, budget_box.used)
+
+
+def _interval_alpha(
+    n: int, t: int, candidates: Sequence[int], registered: Sequence[Sequence[int]]
+) -> int:
+    """Most of the n cyclic intervals interval_mask(n,t,a) holding no support.
+
+    The intervals are candidates; an include/exclude search over them in
+    increasing index order tests each inclusion against the supports
+    registered at that index, as the solver does.  A support reaching
+    outside the intervals is never inside the chosen ones.  Every cyclic
+    order of [n] is an image of the standard one and the violation rule is
+    invariant under relabelling the points, so averaging over the orders
+    (Katona's argument) gives m <= C(n,t) * alpha / n for 1 <= t < n.
+    """
+    slots = sorted(bisect_left(candidates, interval_mask(n, t, a)) for a in range(1, n + 1))
+    best = 0
+
+    def dfs(j: int, chosen_mask: int, size: int) -> bool:
+        """Returns True once all n intervals fit together."""
+        nonlocal best
+        while j < n:
+            if size + n - j <= best:
+                return False
+            i = slots[j]
+            outside = ~chosen_mask
+            if all(rest & outside for rest in registered[i]):
+                best = max(best, size + 1)
+                if best == n or dfs(j + 1, chosen_mask | 1 << i, size + 1):
+                    return True
+            j += 1
+        return False
+
+    dfs(0, 0, 0)
+    return best
+
+
+def _pierced_stars(
+    n: int, t: int, params: DisjointnessParams, candidates: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two pierced-star families of the closed lower bound, s1 side first.
+
+    The s1 side is star_family(n, t, lam, s1).  The s2 side holds every
+    t-subset that does not contain the points 1..f, f = ceil(lam/s2)-1: the
+    complements of its members form the (n-t)-uniform star pierced by those
+    points, so among any lam members some point is missed by more than s2.
+    """
+    lam, s1, s2 = params.lam, params.k1 - 1, params.k2 - 1
+    fixed = full_mask(-(-lam // s2) - 1)
+    return (
+        star_family(n, t, lam, s1).sets,
+        tuple(mask for mask in candidates if mask & fixed != fixed),
+    )
+
+
+def _multiset_rows(m: int, lam: int) -> Iterator[np.ndarray]:
+    """The non-decreasing rows of lam indices below m, in uint8 blocks.
+
+    The last `tail` columns are all non-decreasing tail-tuples, built by
+    combinations_with_replacement, with tail as long as they fit in one
+    block of _BRUTE_BLOCK rows.  The rows then grow leftwards with numpy:
+    a row whose first entry is f takes each of 0..f in front of it.  A
+    grown array is cut into blocks of _BRUTE_BLOCK rows before it grows
+    again, so none holds more than m * _BRUTE_BLOCK rows (m <= 24 fits
+    uint8).
+    """
+    tail = 1
+    while tail < lam and comb(m + tail, tail + 1) <= _BRUTE_BLOCK:
+        tail += 1
+    base = bytes(chain.from_iterable(combinations_with_replacement(range(m), tail)))
+    pending = [np.frombuffer(base, dtype=np.uint8).reshape(-1, tail)]
+    while pending:
+        rows = pending.pop()
+        if rows.shape[1] == lam:
+            yield rows
+            continue
+        lens = rows[:, 0].astype(np.intp) + 1
+        ends = np.cumsum(lens)
+        first = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
+        grown = np.column_stack((first.astype(np.uint8), np.repeat(rows, lens, axis=0)))
+        pending.extend(
+            grown[lo : lo + _BRUTE_BLOCK] for lo in range(0, len(grown), _BRUTE_BLOCK)
+        )
 
 
 def _qualifying_supports(
@@ -310,12 +414,11 @@ def _qualifying_supports(
 ) -> set[int]:
     """Supports of every lam-multiset of candidates meeting the quantifier definition.
 
-    The non-decreasing index multisets come from combinations_with_replacement
-    in blocks of _BRUTE_BLOCK rows of uint8 indices (the oracle's M <= 24
-    candidates fit).  Each row gathers its candidate masks; a
-    row qualifies when every k1 of its entries AND to nothing and every k2 of
-    them OR to the ground set (vacuously when the row has fewer than k1 resp.
-    k2 entries).  The support is the OR of the row's index bits.
+    The non-decreasing index multisets come from _multiset_rows.  Each row
+    gathers its candidate masks; a row qualifies when every k1 of its
+    entries AND to nothing and every k2 of them OR to the ground set
+    (vacuously when the row has fewer than k1 resp. k2 entries).  The
+    support is the OR of the row's index bits.
     """
     lam = params.lam
     ground = full_mask(n)
@@ -329,13 +432,8 @@ def _qualifying_supports(
         return np.array(list(combinations(range(lam), k)), dtype=np.intp)
 
     meets, covers = positions(params.k1), positions(params.k2)
-    multisets = combinations_with_replacement(range(len(candidates)), lam)
     supports: set[int] = set()
-    while True:
-        block = bytes(chain.from_iterable(islice(multisets, _BRUTE_BLOCK)))
-        if not block:
-            return supports
-        rows = np.frombuffer(block, dtype=np.uint8).reshape(-1, lam)
+    for rows in _multiset_rows(len(candidates), lam):
         sets = masks[rows]
         ok = np.ones(len(rows), dtype=bool)
         if meets is not None:
@@ -343,6 +441,7 @@ def _qualifying_supports(
         if covers is not None:
             ok &= (np.bitwise_or.reduce(sets[:, covers], axis=2) == ground).all(axis=1)
         supports.update(np.bitwise_or.reduce(bits[rows[ok]], axis=1).tolist())
+    return supports
 
 
 def matching_number_brute(instance: MatchingInstance) -> tuple[int, SubsetFamily]:

@@ -65,9 +65,20 @@ def test_matching_inf_mode_and_budget(capsys):
     )
     assert code == 0 and json.loads(out)["value"] == 5
 
+    # the budget runs out, and the pierced star of 10 meets the cap of 10
     code, out, _ = run(
         capsys,
         "matching", "--n", "6", "--t", "3", "--lambda", "2", "--k1", "2", "--k2", "2",
+        "--budget", "2",
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "exact" and doc["value"] == 10
+    assert doc["explored"] == 2 and all(1 in member for member in doc["family"])
+
+    # (c,s,k) = (4,1,7): the sandwich stays open, so running out is lower-only
+    code, out, _ = run(
+        capsys,
+        "matching", "--n", "7", "--t", "2", "--lambda", "3", "--k1", "2", "--k2", "4",
         "--budget", "2",
     )
     assert code == 1 and json.loads(out)["status"] == "lower-only"

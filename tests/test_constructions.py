@@ -388,6 +388,32 @@ def test_faithful_examples():
     assert len(faithful_code_family(3, 2, 1, 3, budget=0)) == 0
 
 
+# the words of faithful_code_family(7, 5, 2, 4) as they were when its
+# inner (5,2,7) matching number took an 8.3 M-node search
+FAITHFUL_7_5_2_4 = [
+    [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 2, 2, 2, 2], [1, 1, 1, 3, 3, 3, 3], [1, 1, 1, 4, 4, 4, 4],
+    [1, 2, 2, 1, 1, 2, 3], [1, 2, 2, 2, 2, 1, 4], [1, 2, 2, 3, 3, 4, 1], [1, 2, 2, 4, 4, 3, 2],
+    [1, 3, 3, 1, 1, 3, 4], [1, 3, 3, 2, 2, 4, 3], [1, 3, 3, 3, 3, 1, 2], [1, 3, 3, 4, 4, 2, 1],
+    [1, 4, 4, 1, 1, 4, 2], [1, 4, 4, 2, 2, 3, 1], [1, 4, 4, 3, 3, 2, 4], [1, 4, 4, 4, 4, 1, 3],
+]
+
+
+def test_faithful_inner_solve_stops_at_the_interval_cap(monkeypatch):
+    # m(7,3,4;3,4) = 20 meets its interval cap at the 20th node
+    solve = constructions.matching_number_exact
+    certs = []
+
+    def recording(*args, **kwargs):
+        certs.append(solve(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(constructions, "matching_number_exact", recording)
+    code = faithful_code_family(7, 5, 2, 4)
+    assert [cert.explored for cert in certs] == [20]
+    assert (certs[0].value, certs[0].status) == (20, "exact")
+    assert [list(word) for word in code.words] == FAITHFUL_7_5_2_4
+
+
 def test_faithful_agreement_conditions():
     code = faithful_code_family(4, 3, 2, 3, seed=2)
     pattern = set(matching_complement_pattern(4, 3, 2).sets)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -18,13 +20,17 @@ from frameproof_lab.core import (
     enumerate_subsets,
     is_disjoint_collection,
     lambda_of,
+    points_from_mask,
 )
 from frameproof_lab.matching import (
     MatchingInstance,
+    _interval_alpha,
     _minimal_supports,
+    _pierced_stars,
     _qualifying_supports,
     cyclic_partition_plan,
     find_violating_collection,
+    interval_mask,
     matching_closed_bounds,
     matching_number_brute,
     matching_number_exact,
@@ -65,6 +71,34 @@ def test_find_violating_must_include():
         find_violating_collection(fam, p, must_include=7)
 
 
+def _ref_find_violating(masks, n, params, must_include=None):
+    # the lex-least non-decreasing index multiset, from the collection
+    # predicate itself; must_include takes one of the lam places
+    extra = () if must_include is None else (must_include,)
+    for combo in combinations_with_replacement(range(len(masks)), params.lam - len(extra)):
+        if is_disjoint_collection([masks[i] for i in combo + extra], n, params):
+            return tuple(sorted(combo + extra))
+    return None
+
+
+def test_find_violating_is_the_least_qualifying_multiset():
+    rng = random.Random(3000)
+    hits = 0
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        t = rng.randint(1, n)
+        candidates = enumerate_subsets(n, t)
+        members = rng.sample(candidates, rng.randint(1, min(len(candidates), 9)))
+        family = SubsetFamily(n, tuple(sorted(members)), t)
+        k1, k2 = (rng.choice([None, rng.randint(1, 5)]) for _ in range(2))
+        params = DisjointnessParams(rng.randint(1, 4), k1, k2)
+        must = rng.choice([None, rng.randrange(len(family))])
+        found = find_violating_collection(family, params, must_include=must)
+        assert found == _ref_find_violating(family.sets, n, params, must), (family, params, must)
+        hits += found is not None
+    assert 300 < hits < 1200
+
+
 def test_matching_exact_known_values():
     assert matching_number_exact(inst(4, 2, 2, 2, 2)).value == 3
     assert matching_number_exact(inst(4, 2, 1, 2, 2)).value == 0
@@ -92,19 +126,20 @@ def test_matching_single_sided_modes():
 
 
 def test_matching_budget_lower_only():
-    cert = matching_number_exact(inst(6, 3, 2, 2, 2), budget=3)
+    # the m-table cell (c,s,k) = (4,1,7), m = 11, where the sandwich stays open
+    cert = matching_number_exact(inst(7, 2, 3, 2, 4), budget=3)
     assert cert.status == "lower-only"
-    assert cert.value <= 10
-    assert find_violating_collection(cert.family, DisjointnessParams(2, 2, 2)) is None
+    assert cert.value <= 11
+    assert find_violating_collection(cert.family, DisjointnessParams(3, 2, 4)) is None
 
 
 def test_lower_only_explored_equals_budget():
     # the node refused at the limit is not counted
     for budget in (0, 1, 3, 2500):
-        cert = matching_number_exact(inst(6, 3, 4, 3, 3), budget=budget)
+        cert = matching_number_exact(inst(7, 2, 3, 2, 4), budget=budget)
         assert cert.status == "lower-only"
         assert cert.explored == budget
-    assert matching_number_exact(inst(6, 3, 4, 3, 3), budget=0).value == 0
+    assert matching_number_exact(inst(7, 2, 3, 2, 4), budget=0).value == 0
 
 
 def test_negative_budget_rejected():
@@ -404,40 +439,37 @@ def test_compile_prunes_supersets_of_found_supports():
     assert 0 < nodes <= 106
 
 
-# m(n,t,lam;k1,k2) at node budget 2500, as the per-node _find_violating
-# solver reported them; explored of a lower-only cell is the budget itself
+# m(n,t,lam;k1,k2) at node budget 2500.  (6,3,4;3,3) is proved by the
+# interval cap: the search stops at its 10th node, on the first family of
+# size 10.  At (8,6,4;4,2) the budget runs out at 18, and the s1 pierced
+# star (every 6-set through point 1) meets the interval cap of 21.
 PINNED_CELLS = {
     (6, 3, 4, 3, 3): {
         "value": 10,
-        "status": "lower-only",
-        "explored": 2500,
+        "status": "exact",
+        "explored": 10,
         "family": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5],
                    [2, 3, 5], [1, 4, 5], [2, 4, 5], [3, 4, 5]],
     },
     (6, 4, 6, 5, 3): {
         "value": 10,
         "status": "exact",
-        "explored": 1726,
+        "explored": 180,
         "family": [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5], [1, 3, 4, 5], [1, 2, 3, 6],
                    [1, 2, 4, 6], [1, 3, 4, 6], [1, 2, 5, 6], [1, 3, 5, 6], [1, 4, 5, 6]],
     },
     (6, 2, 6, 3, 5): {
         "value": 10,
         "status": "exact",
-        "explored": 2064,
+        "explored": 10,
         "family": [[1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [1, 5], [2, 5],
                    [3, 5], [4, 5]],
     },
     (8, 6, 4, 4, 2): {
-        "value": 18,
-        "status": "lower-only",
+        "value": 21,
+        "status": "exact",
         "explored": 2500,
-        "family": [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], [1, 2, 3, 4, 6, 7],
-                   [1, 2, 3, 5, 6, 7], [1, 2, 4, 5, 6, 7], [1, 3, 4, 5, 6, 7],
-                   [2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 8], [1, 2, 3, 4, 6, 8],
-                   [1, 2, 3, 5, 6, 8], [1, 2, 4, 5, 6, 8], [1, 3, 4, 5, 6, 8],
-                   [2, 3, 4, 5, 6, 8], [1, 2, 3, 4, 7, 8], [1, 2, 3, 5, 7, 8],
-                   [1, 2, 4, 5, 7, 8], [1, 3, 4, 5, 7, 8], [2, 3, 4, 5, 7, 8]],
+        "family": [list(points_from_mask(m)) for m in enumerate_subsets(8, 6) if m & 1],
     },
 }
 
@@ -571,3 +603,120 @@ def test_brute_complement_duality():
         assert value == matching_number_brute(inst(n, n - t, lam, k2, k1))[0], (c, s, k)
         checked += 1
     assert checked == 72
+
+
+# ---------------------------------------------------------------------------
+# the interval cap and the closing stars
+
+
+def _registered(candidates, n, params):
+    # each compiled support at its highest index with that bit cleared, as
+    # the solver registers them
+    registered = [[] for _ in candidates]
+    for support in _minimal_supports(candidates, n, params):
+        top = support.bit_length() - 1
+        registered[top].append(support ^ (1 << top))
+    return registered
+
+
+def _ref_alpha(n, t, params):
+    # the largest subset of the n cyclic intervals holding no qualifying
+    # collection, by the oracle on every subset, largest first
+    intervals = sorted(interval_mask(n, t, a) for a in range(1, n + 1))
+    for size in range(n, 0, -1):
+        for subset in combinations(intervals, size):
+            if find_violating_collection(SubsetFamily(n, subset, t), params) is None:
+                return size
+    return 0
+
+
+def _alpha_cases():
+    # the m-table cells and seeded instances, each with 1 < t < n and a
+    # compile to run
+    def wanted(n, t, lam, k1, k2):
+        params = DisjointnessParams(lam, k1, k2)
+        return 1 < t < n and params.feasible and not params.vacuous
+
+    cases = [args for args in map(_cell_args, *zip(*M_TABLE_CELLS)) if wanted(*args)]
+    rng = random.Random(1972)
+    while len(cases) < 250:
+        n = rng.randint(3, 8)
+        t = rng.randint(2, n - 1)
+        lam = rng.randint(1, 5)
+        k1 = rng.choice([None, rng.randint(1, 5)])
+        k2 = rng.choice([None, rng.randint(1, 5)])
+        if comb(comb(n, t) + lam - 1, lam) <= 40000 and wanted(n, t, lam, k1, k2):
+            cases.append((n, t, lam, k1, k2))
+    return cases
+
+
+def test_interval_alpha_matches_a_sweep_over_the_intervals():
+    alphas = []
+    for n, t, lam, k1, k2 in _alpha_cases():
+        params = DisjointnessParams(lam, k1, k2)
+        candidates = enumerate_subsets(n, t)
+        alpha = _interval_alpha(n, t, candidates, _registered(candidates, n, params))
+        assert alpha == _ref_alpha(n, t, params), (n, t, lam, k1, k2)
+        alphas.append(alpha)
+    assert len(set(alphas)) == 8
+
+
+def test_m_table_cells_match_brute_force():
+    checked = 0
+    for c, s, k in M_TABLE_CELLS:
+        n, t, lam, k1, k2 = _cell_args(c, s, k)
+        if comb(n, t) > 24:
+            continue
+        instance = inst(n, t, lam, k1, k2)
+        cert = matching_number_exact(instance)
+        assert cert.status == "exact"
+        assert cert.value == matching_number_brute(instance)[0], (c, s, k)
+        checked += 1
+    assert checked == 84
+
+
+# the eight m-table cells left lower-only at budget 2500 by the search
+# without the interval cap, and what they give now
+OPEN_WITHOUT_INTERVAL_CAP = {
+    (4, 2, 6): ("exact", 10),
+    (6, 3, 6): ("exact", 10),
+    (5, 2, 7): ("exact", 20),
+    (3, 1, 8): ("exact", 21),
+    (4, 3, 8): ("exact", 21),
+    (6, 2, 8): ("exact", 21),
+    (4, 1, 7): ("lower-only", 11),
+    (5, 1, 8): ("lower-only", 13),
+}
+# sha256 over the value and family of the other 86 cells, as the search
+# without the interval cap returned them at budget 2500
+EXACT_CELLS_DIGEST = "d2fb35968868b7b996562ec8cac4faebc2fd1ac69cff252b3982f3a38c7f3af0"
+
+
+def test_m_table_at_budget_2500():
+    digest, exact = hashlib.sha256(), 0
+    for c, s, k in M_TABLE_CELLS:
+        cert = matching_number_exact(inst(*_cell_args(c, s, k)), budget=2500)
+        if (c, s, k) in OPEN_WITHOUT_INTERVAL_CAP:
+            assert (cert.status, cert.value) == OPEN_WITHOUT_INTERVAL_CAP[c, s, k], (c, s, k)
+            if cert.status == "lower-only":
+                assert cert.explored == 2500
+            continue
+        assert cert.status == "exact", (c, s, k)
+        doc = cert.to_json()
+        digest.update(json.dumps([[c, s, k], doc["value"], doc["family"]]).encode())
+        exact += 1
+    assert exact == 86
+    assert digest.hexdigest() == EXACT_CELLS_DIGEST
+
+
+def test_s2_star_closes_5_2_7():
+    # (c,s,k) = (5,2,7) is m(7,3,4;3,4): the 3-sets that miss point 1
+    n, t, lam, k1, k2 = _cell_args(5, 2, 7)
+    params = DisjointnessParams(lam, k1, k2)
+    s1_star, s2_star = _pierced_stars(n, t, params, enumerate_subsets(n, t))
+    assert len(s1_star) == comb(7, 3) - comb(6, 3) == 15
+    assert len(s2_star) == comb(7, 3) - comb(6, 2) == 20
+    assert all(not m & 1 for m in s2_star)
+    assert find_violating_collection(SubsetFamily(n, s2_star, t), params) is None
+    cert = matching_number_exact(inst(n, t, lam, k1, k2), budget=5)
+    assert cert.status == "exact" and cert.family.sets == s2_star
