@@ -243,7 +243,7 @@ def matching_number_exact(
     candidate i is legal iff no support registered at i lies inside the
     chosen-index bitmask.  The search is bounded by remaining candidates and
     stops at the first family of size cap.  With k1 and k2 finite and >= 2,
-    cap is the closed-form upper bound, and for 1 < t < n also
+    cap is the closed-form upper bound, and for 1 < t < n-1 also
     C(n,t) * alpha // n (see _interval_alpha).  budget caps the
     branch-and-bound nodes (neither the compile nor alpha is counted), and
     explored never exceeds it.  Running out downgrades the status to
@@ -276,10 +276,12 @@ def matching_number_exact(
         for entry in report.entries:
             if entry.direction == "upper" and entry.applicable:
                 cap = min(cap, int(entry.value))
-        # at t = 1 the intervals are all the candidates, so alpha would be m
-        # itself, found outside the node budget
-        if 1 < t < n:
-            cap = min(cap, total * _interval_alpha(n, t, candidates, registered) // n)
+        # at t = 1 and t = n-1 the intervals are all the candidates, so alpha
+        # would be m itself, found outside the node budget
+        if total > n:
+            # alpha at or above this cannot lower the cap
+            limit = -(-cap * n // total)
+            cap = min(cap, total * _interval_alpha(n, t, candidates, registered, limit) // n)
 
     best: list[int] = []
     chosen: list[int] = []
@@ -327,13 +329,18 @@ def matching_number_exact(
 
 
 def _interval_alpha(
-    n: int, t: int, candidates: Sequence[int], registered: Sequence[Sequence[int]]
+    n: int,
+    t: int,
+    candidates: Sequence[int],
+    registered: Sequence[Sequence[int]],
+    limit: int,
 ) -> int:
-    """Most of the n cyclic intervals interval_mask(n,t,a) holding no support.
+    """min(alpha, limit), alpha the most cyclic intervals holding no support.
 
-    The intervals are candidates; an include/exclude search over them in
-    increasing index order tests each inclusion against the supports
-    registered at that index, as the solver does.  A support reaching
+    The n intervals interval_mask(n,t,a) are candidates; an include/exclude
+    search over them in increasing index order tests each inclusion against
+    the supports registered at that index, as the solver does, and stops at
+    the first limit intervals that fit together.  A support reaching
     outside the intervals is never inside the chosen ones.  Every cyclic
     order of [n] is an image of the standard one and the violation rule is
     invariant under relabelling the points, so averaging over the orders
@@ -343,7 +350,7 @@ def _interval_alpha(
     best = 0
 
     def dfs(j: int, chosen_mask: int, size: int) -> bool:
-        """Returns True once all n intervals fit together."""
+        """Returns True once limit intervals fit together."""
         nonlocal best
         while j < n:
             if size + n - j <= best:
@@ -352,12 +359,13 @@ def _interval_alpha(
             outside = ~chosen_mask
             if all(rest & outside for rest in registered[i]):
                 best = max(best, size + 1)
-                if best == n or dfs(j + 1, chosen_mask | 1 << i, size + 1):
+                if best >= limit or dfs(j + 1, chosen_mask | 1 << i, size + 1):
                     return True
             j += 1
         return False
 
-    dfs(0, 0, 0)
+    if limit > 0:
+        dfs(0, 0, 0)
     return best
 
 

@@ -655,7 +655,7 @@ def test_interval_alpha_matches_a_sweep_over_the_intervals():
     for n, t, lam, k1, k2 in _alpha_cases():
         params = DisjointnessParams(lam, k1, k2)
         candidates = enumerate_subsets(n, t)
-        alpha = _interval_alpha(n, t, candidates, _registered(candidates, n, params))
+        alpha = _interval_alpha(n, t, candidates, _registered(candidates, n, params), n)
         assert alpha == _ref_alpha(n, t, params), (n, t, lam, k1, k2)
         alphas.append(alpha)
     assert len(set(alphas)) == 8
