@@ -335,7 +335,7 @@ def _interval_alpha(
     registered: Sequence[Sequence[int]],
     limit: int,
 ) -> int:
-    """min(alpha, limit), alpha the most cyclic intervals holding no support.
+    """min(alpha, limit) for limit >= 1; alpha is the most intervals holding no support.
 
     The n intervals interval_mask(n,t,a) are candidates; an include/exclude
     search over them in increasing index order tests each inclusion against
@@ -364,8 +364,7 @@ def _interval_alpha(
             j += 1
         return False
 
-    if limit > 0:
-        dfs(0, 0, 0)
+    dfs(0, 0, 0)
     return best
 
 
