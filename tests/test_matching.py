@@ -655,8 +655,12 @@ def test_interval_alpha_matches_a_sweep_over_the_intervals():
     for n, t, lam, k1, k2 in _alpha_cases():
         params = DisjointnessParams(lam, k1, k2)
         candidates = enumerate_subsets(n, t)
-        alpha = _interval_alpha(n, t, candidates, _registered(candidates, n, params), n)
-        assert alpha == _ref_alpha(n, t, params), (n, t, lam, k1, k2)
+        registered = _registered(candidates, n, params)
+        alpha = _ref_alpha(n, t, params)
+        for limit in range(1, n + 1):
+            # the search stops once limit intervals fit together
+            found = _interval_alpha(n, t, candidates, registered, limit)
+            assert found == min(alpha, limit), (n, t, lam, k1, k2, limit)
         alphas.append(alpha)
     assert len(set(alphas)) == 8
 
