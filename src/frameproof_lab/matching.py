@@ -272,10 +272,10 @@ def matching_number_exact(
     cap = total
     two_sided = params.k1 is not None and params.k2 is not None and min(params.k1, params.k2) >= 2
     if two_sided:
-        report = matching_closed_bounds(n, t, params.lam, params.k1 - 1, params.k2 - 1)
-        for entry in report.entries:
-            if entry.direction == "upper" and entry.applicable:
-                cap = min(cap, int(entry.value))
+        # lam lies in the closed sandwich's range here (the instance is
+        # neither vacuous nor infeasible), whose one upper entry this is
+        if n > t > 1:
+            cap = min(cap, _cyclic_interval_upper(n, t, params.lam, params.k1 - 1, params.k2 - 1))
         # at t = 1 and t = n-1 the intervals are all the candidates, so alpha
         # would be m itself, found outside the node budget
         if total > n:
@@ -528,14 +528,10 @@ def matching_closed_bounds(
     # cyclic-interval upper bound
     hyp_range = Hypothesis(f"n > t > 1 (n={n}, t={t})", n > t > 1)
     if hyp_range.ok:
-        chi = max(-(-t // s1), -(-(n - t) // s2))
-        m_cls = n // chi
-        gamma = -(-n // m_cls)
-        value = Fraction(total * (lam - 1) * gamma, n)
         entries.append(
             BoundEntry(
                 quantity,
-                int(value),  # floored: the quantity is an integer
+                _cyclic_interval_upper(n, t, lam, s1, s2),
                 "upper",
                 "cyclic-interval classes",
                 (hyp_range,),
@@ -564,6 +560,13 @@ def matching_closed_bounds(
     if c is not None and s is not None:
         entries.extend(_explicit_entries(quantity, n, t, lam, c, s, total))
     return BoundReport(quantity, tuple(entries))
+
+
+def _cyclic_interval_upper(n: int, t: int, lam: int, s1: int, s2: int) -> int:
+    """C(n,t) * (lam-1) * gamma / n for n > t > 1, floored: m is an integer."""
+    chi = max(-(-t // s1), -(-(n - t) // s2))
+    gamma = -(-n // (n // chi))
+    return comb(n, t) * (lam - 1) * gamma // n
 
 
 def _explicit_entries(
