@@ -6,13 +6,14 @@ lam-k2+1 and k1-1.  The solver is a branch-and-bound over the colex list of
 t-subsets.  It first compiles the instance once: one count DFS collects the
 inclusion-minimal violating supports (sets of candidate indices carrying a
 qualifying collection), each registered at its highest index.  Legality of
-an inclusion is then a bitmask test against the chosen indices.  The search
-stops at a cap: the closed-form upper bound, tightened by Katona's
-cyclic-order averaging, C(n,t) * alpha / n, where alpha is the most of the
-n cyclic intervals a family can hold.  When the node budget runs out and
-one of the two pierced stars of the closed lower bound reaches the cap,
-that star is the certified optimum.  The count-DFS violation oracle stays
-as the exact-certificate re-check, and a brute-force sweep over all
+an inclusion is then a bitmask test against the chosen indices, made by one
+include/exclude engine.  The search stops at a cap: the closed-form upper
+bound, tightened by Katona's cyclic-order averaging, C(n,t) * alpha / n,
+where alpha is the most of the n cyclic intervals a family can hold, found
+by the solver's own search over the n interval slots.  When the node budget
+runs out and one of the two pierced stars of the closed lower bound reaches
+the cap, that star is the certified optimum.  The count-DFS violation oracle
+stays as the exact-certificate re-check, and a brute-force sweep over all
 subfamilies doubles as an independent cross-check on tiny instances.
 """
 
@@ -153,19 +154,6 @@ def find_violating_collection(
 # exact solver
 
 
-class _Budget:
-    def __init__(self, limit: int | None) -> None:
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> bool:
-        """Count one node, or refuse it (uncounted) once the limit is spent."""
-        if self.limit is not None and self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
-
-
 def _minimal_supports(
     candidates: Sequence[int], n: int, params: DisjointnessParams
 ) -> list[int]:
@@ -230,21 +218,89 @@ def _minimal_supports(
     return sorted(minimal)
 
 
+def _registered_supports(
+    candidates: Sequence[int], n: int, params: DisjointnessParams
+) -> list[list[int]]:
+    """The minimal supports by highest index, each with that bit cleared.
+
+    Entry i lists the rest of every support whose highest candidate index
+    is i, so including i after a chosen-index bitmask is legal iff no entry
+    lies inside that bitmask.
+    """
+    registered: list[list[int]] = [[] for _ in candidates]
+    for support in _minimal_supports(candidates, n, params):
+        top = support.bit_length() - 1
+        registered[top].append(support ^ (1 << top))
+    return registered
+
+
+def _max_avoiding(
+    order: Sequence[int],
+    registered: Sequence[Sequence[int]],
+    cap: int,
+    budget: int | None,
+) -> tuple[list[int], int, bool]:
+    """Largest subset of the increasing index order holding no registered support.
+
+    Returns (best, explored, exhausted).  Include-first branching from a
+    legal prefix, bounded by the remaining indices, stops at the first
+    subset of size cap; a support reaching outside order never blocks.  Each
+    loop step counts a node before the size prune; once explored equals
+    budget the next node is refused, uncounted, and exhausted is set.
+    """
+    best: list[int] = []
+    chosen: list[int] = []
+    chosen_mask = 0
+    explored = 0
+    exhausted = False
+    size = len(order)
+
+    def dfs(j: int) -> bool:
+        """Returns True when the search can stop (cap reached or budget out)."""
+        nonlocal best, chosen_mask, explored, exhausted
+        while j < size:
+            if explored == budget:
+                exhausted = True
+                return True
+            explored += 1
+            if len(chosen) + (size - j) <= len(best):
+                return False
+            i = order[j]
+            outside = ~chosen_mask
+            if all(rest & outside for rest in registered[i]):
+                chosen.append(i)
+                chosen_mask |= 1 << i
+                if len(chosen) > len(best):
+                    best = list(chosen)
+                    if len(best) == cap:
+                        return True
+                if dfs(j + 1):
+                    return True
+                chosen.pop()
+                chosen_mask ^= 1 << i
+            j += 1
+        return False
+
+    dfs(0)
+    return best, explored, exhausted
+
+
 def matching_number_exact(
     instance: MatchingInstance, budget: int | None = None
 ) -> MatchingCertificate:
     """Branch-and-bound value of m(n,t,lam;k1,k2) with an extremal family.
 
     Short-circuits: if every collection qualifies the value is 0; if none can
-    exist the value is C(n,t).  Otherwise the inclusion-minimal violating
-    supports are compiled once, each registered at its highest candidate
-    index with that bit cleared.  Include/exclude branching then walks the
-    colex t-subset list in increasing index order from a legal prefix, so
-    candidate i is legal iff no support registered at i lies inside the
-    chosen-index bitmask.  The search is bounded by remaining candidates and
-    stops at the first family of size cap.  With k1 and k2 finite and >= 2,
+    exist the value is C(n,t).  Otherwise the supports are compiled once
+    (_registered_supports) and _max_avoiding walks the colex t-subset list
+    up to the first family of size cap.  With k1 and k2 finite and >= 2,
     cap is the closed-form upper bound, and for 1 < t < n-1 also
-    C(n,t) * alpha // n (see _interval_alpha).  budget caps the
+    C(n,t) * alpha // n, where alpha is the most of the n cyclic intervals
+    interval_mask(n,t,a) holding no support, from the same engine over the
+    interval slots.  Every cyclic order of [n] is an image of the standard
+    one and the violation rule is invariant under relabelling the points,
+    so averaging over the orders (Katona's argument) gives
+    m <= C(n,t) * alpha / n for 1 <= t < n.  budget caps the
     branch-and-bound nodes (neither the compile nor alpha is counted), and
     explored never exceeds it.  Running out downgrades the status to
     "lower-only", unless a pierced star (_pierced_stars) has exactly cap
@@ -264,11 +320,7 @@ def matching_number_exact(
             total, SubsetFamily(n, tuple(candidates), t), "exact", 0
         )
 
-    registered: list[list[int]] = [[] for _ in candidates]
-    for support in _minimal_supports(candidates, n, params):
-        top = support.bit_length() - 1
-        registered[top].append(support ^ (1 << top))
-
+    registered = _registered_supports(candidates, n, params)
     cap = total
     two_sided = params.k1 is not None and params.k2 is not None and min(params.k1, params.k2) >= 2
     if two_sided:
@@ -281,39 +333,11 @@ def matching_number_exact(
         if total > n:
             # alpha at or above this cannot lower the cap
             limit = -(-cap * n // total)
-            cap = min(cap, total * _interval_alpha(n, t, candidates, registered, limit) // n)
+            slots = [bisect_left(candidates, interval_mask(n, t, a)) for a in range(1, n + 1)]
+            alpha = len(_max_avoiding(sorted(slots), registered, limit, None)[0])
+            cap = min(cap, total * alpha // n)
 
-    best: list[int] = []
-    chosen: list[int] = []
-    chosen_mask = 0
-    budget_box = _Budget(budget)
-    exhausted = False
-
-    def dfs(i: int) -> bool:
-        """Returns True when the search can stop (cap reached or budget out)."""
-        nonlocal best, chosen_mask, exhausted
-        while i < len(candidates):
-            if not budget_box.tick():
-                exhausted = True
-                return True
-            if len(chosen) + (len(candidates) - i) <= len(best):
-                return False
-            outside = ~chosen_mask
-            if all(rest & outside for rest in registered[i]):
-                chosen.append(i)
-                chosen_mask |= 1 << i
-                if len(chosen) > len(best):
-                    best = list(chosen)
-                    if len(best) == cap:
-                        return True
-                if dfs(i + 1):
-                    return True
-                chosen.pop()
-                chosen_mask ^= 1 << i
-            i += 1
-        return False
-
-    dfs(0)
+    best, explored, exhausted = _max_avoiding(range(total), registered, cap, budget)
     sets = tuple(candidates[i] for i in best)
     status = "lower-only" if exhausted else "exact"
     if exhausted and two_sided:
@@ -325,47 +349,7 @@ def matching_number_exact(
     family = SubsetFamily(n, sets, t)
     if status == "exact" and find_violating_collection(family, params) is not None:
         raise AssertionError("exact matching family contains a violating collection")
-    return MatchingCertificate(len(sets), family, status, budget_box.used)
-
-
-def _interval_alpha(
-    n: int,
-    t: int,
-    candidates: Sequence[int],
-    registered: Sequence[Sequence[int]],
-    limit: int,
-) -> int:
-    """min(alpha, limit) for limit >= 1; alpha is the most intervals holding no support.
-
-    The n intervals interval_mask(n,t,a) are candidates; an include/exclude
-    search over them in increasing index order tests each inclusion against
-    the supports registered at that index, as the solver does, and stops at
-    the first limit intervals that fit together.  A support reaching
-    outside the intervals is never inside the chosen ones.  Every cyclic
-    order of [n] is an image of the standard one and the violation rule is
-    invariant under relabelling the points, so averaging over the orders
-    (Katona's argument) gives m <= C(n,t) * alpha / n for 1 <= t < n.
-    """
-    slots = sorted(bisect_left(candidates, interval_mask(n, t, a)) for a in range(1, n + 1))
-    best = 0
-
-    def dfs(j: int, chosen_mask: int, size: int) -> bool:
-        """Returns True once limit intervals fit together."""
-        nonlocal best
-        while j < n:
-            if size + n - j <= best:
-                return False
-            i = slots[j]
-            outside = ~chosen_mask
-            if all(rest & outside for rest in registered[i]):
-                best = max(best, size + 1)
-                if best >= limit or dfs(j + 1, chosen_mask | 1 << i, size + 1):
-                    return True
-            j += 1
-        return False
-
-    dfs(0, 0, 0)
-    return best
+    return MatchingCertificate(len(sets), family, status, explored)
 
 
 def _pierced_stars(
@@ -672,7 +656,7 @@ def cyclic_partition_plan(n: int, t: int, s1: int, s2: int) -> CyclicPartitionPl
     """Split the cyclic intervals into classes whose point-coverage stays
     within s1 and whose point-miss count stays within s2.
 
-    chi = max(ceil(t/s1), ceil(n-t/s2)); the classes step by gamma or gamma-1
+    chi = max(ceil(t/s1), ceil((n-t)/s2)); the classes step by gamma or gamma-1
     positions.  When n0 = 0 the stepped tail is empty and each class is a pure
     gamma-progression (the duplicate-collapsing reading of the construction).
     """

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import frameproof_lab
-from frameproof_lab import matching
+from frameproof_lab import _kernels, matching
 from frameproof_lab.core import (
     DisjointnessParams,
     ParameterError,
@@ -24,10 +24,11 @@ from frameproof_lab.core import (
 )
 from frameproof_lab.matching import (
     MatchingInstance,
-    _interval_alpha,
+    _max_avoiding,
     _minimal_supports,
     _pierced_stars,
     _qualifying_supports,
+    _registered_supports,
     cyclic_partition_plan,
     find_violating_collection,
     interval_mask,
@@ -552,7 +553,13 @@ def test_brute_oracle_shares_no_code_with_the_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the brute-force oracle called the solver's oracle")
 
-    for name in ("_find_violating", "find_violating_collection", "_minimal_supports"):
+    for name in (
+        "_find_violating",
+        "find_violating_collection",
+        "_minimal_supports",
+        "_registered_supports",
+        "_max_avoiding",
+    ):
         monkeypatch.setattr(matching, name, refuse)
     value, family = matching_number_brute(inst(6, 3, 2, 2, 2))
     assert value == len(family) == 10
@@ -609,16 +616,6 @@ def test_brute_complement_duality():
 # the interval cap and the closing stars
 
 
-def _registered(candidates, n, params):
-    # each compiled support at its highest index with that bit cleared, as
-    # the solver registers them
-    registered = [[] for _ in candidates]
-    for support in _minimal_supports(candidates, n, params):
-        top = support.bit_length() - 1
-        registered[top].append(support ^ (1 << top))
-    return registered
-
-
 def _ref_alpha(n, t, params):
     # the largest subset of the n cyclic intervals holding no qualifying
     # collection, by the oracle on every subset, largest first
@@ -655,14 +652,41 @@ def test_interval_alpha_matches_a_sweep_over_the_intervals():
     for n, t, lam, k1, k2 in _alpha_cases():
         params = DisjointnessParams(lam, k1, k2)
         candidates = enumerate_subsets(n, t)
-        registered = _registered(candidates, n, params)
+        registered = _registered_supports(candidates, n, params)
+        slots = sorted(candidates.index(interval_mask(n, t, a)) for a in range(1, n + 1))
         alpha = _ref_alpha(n, t, params)
         for limit in range(1, n + 1):
             # the search stops once limit intervals fit together
-            found = _interval_alpha(n, t, candidates, registered, limit)
-            assert found == min(alpha, limit), (n, t, lam, k1, k2, limit)
+            best = _max_avoiding(slots, registered, limit, None)[0]
+            assert len(best) == min(alpha, limit), (n, t, lam, k1, k2, limit)
         alphas.append(alpha)
     assert len(set(alphas)) == 8
+
+
+def test_max_avoiding_agrees_with_the_subfamily_sweep():
+    # random supports over at most 16 candidates, each registered at its top
+    # index, against the kernel's sweep over all 2^M subfamilies
+    rng = random.Random(4)
+    for _ in range(400):
+        m = rng.randint(1, 16)
+        supports = {
+            sum(1 << i for i in rng.sample(range(m), rng.randint(1, min(m, 4))))
+            for _ in range(rng.randint(0, 3 * m))
+        }
+        registered = [[] for _ in range(m)]
+        for support in supports:
+            top = support.bit_length() - 1
+            registered[top].append(support ^ (1 << top))
+        best, _, exhausted = _max_avoiding(range(m), registered, m, None)
+        assert not exhausted
+        assert len(best) == _kernels.max_subfamily_avoiding(sorted(supports), m)[0]
+        chosen = sum(1 << i for i in best)
+        assert all(support & chosen != support for support in supports)
+        for budget in range(6):
+            cut, explored, exhausted = _max_avoiding(range(m), registered, m, budget)
+            assert explored <= budget
+            # a search the budget did not cut finished
+            assert explored == budget if exhausted else len(cut) == len(best)
 
 
 def test_m_table_cells_match_brute_force():
