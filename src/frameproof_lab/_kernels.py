@@ -1,13 +1,18 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The exhaustive searches in this package spend their time in four regular
-loops: pairwise Hamming distances, per-focus agreement masks, the order-2
-coalition scan, and the 2^M subfamily sweep of the brute-force matching
-oracle.  Distances are counted per coordinate in row blocks of about 256 K
-cells.  The sweep runs over the inclusion-minimal antichain of the
-forbidden supports, one block of 2^12 low parts per high part, and skips
-the blocks a support fills and those that cannot beat the best size.  Each
-kernel is exact.
+The exhaustive searches in this package spend their time in three regular
+loops: pairwise Hamming distances, per-focus agreement masks, and the 2^M
+subfamily sweep of the brute-force matching oracle.  Distances are counted
+per coordinate in row blocks of about 256 K cells.  The sweep runs over the
+inclusion-minimal antichain of the forbidden supports, one block of 2^12
+low parts per high part, and skips the blocks a support fills and those
+that cannot beat the best size.  Each kernel is exact.
+
+cover_pair_scan, the order-2 coalition scan, has no caller in the library:
+the verify search handles c = 2, s = 1 like every other (c, s).  It stays,
+with its tests, because the benchmark traces it as a layer; its
+kernels.cover_pair_scan.* metrics read 0, as kernels.min_pairwise_distance.*
+already do.
 """
 
 from __future__ import annotations

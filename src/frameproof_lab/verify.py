@@ -245,45 +245,41 @@ def _search_cover(
 
     Slots are filled from the largest index position down, candidates tried
     ascending, so the first complete assignment is the colex minimum.  The
-    deficit of each point is clipped at s; states that cannot complete are
-    memoized on (slot, bound, deficits).
+    deficits, clipped at s, are s nested bit-planes: plane j holds the
+    points still short of more than j covers, and taking mask mv maps planes
+    (a, b) = (j, j + 1) to a & ~mv | b & mv.  A slot with a point short of
+    more covers than slots remain is pruned, so the last slot only needs a
+    mask containing plane 0.  States that cannot complete are memoized on
+    (slot, bound, planes).
     """
-    m = len(masks)
-    if c == 2 and s == 1 and not distinct:
-        return _kernels.cover_pair_scan(np.array(masks, dtype=np.uint64), full_mask(k))
-
-    bitpos = [1 << j for j in range(k)]
-    need = [s] * k
     out = [0] * c
     memo: set[tuple[int, int, tuple[int, ...]]] = set()
 
-    def dfs(slot: int, bound: int) -> bool:
-        worst = max(need, default=0)
-        if worst > slot + 1:
+    def dfs(slot: int, bound: int, need: tuple[int, ...]) -> bool:
+        if slot + 1 < s and need[slot + 1]:
             return False
-        key = (slot, bound, tuple(need))
+        key = (slot, bound, need)
         if key in memo:
             return False
-        # a distinct coalition needs `slot` smaller indices below v
-        for v in range(slot if distinct else 0, bound + 1):
-            mv = masks[v]
-            touched = []
-            for i in range(k):
-                if need[i] and mv & bitpos[i]:
-                    need[i] -= 1
-                    touched.append(i)
-            out[slot] = v
-            if slot == 0:
-                if not any(need):
+        if slot == 0:
+            # no point is short of more than one cover: one mask must hold them
+            for v in range(bound + 1):
+                if masks[v] & need[0] == need[0]:
+                    out[0] = v
                     return True
-            elif dfs(slot - 1, v - 1 if distinct else v):
-                return True
-            for i in touched:
-                need[i] += 1
+        else:
+            below = need[1:] + (0,)
+            # a distinct coalition needs `slot` smaller indices below v
+            for v in range(slot if distinct else 0, bound + 1):
+                mv = masks[v]
+                out[slot] = v
+                taken = tuple(a & ~mv | b & mv for a, b in zip(need, below))
+                if dfs(slot - 1, v - 1 if distinct else v, taken):
+                    return True
         memo.add(key)
         return False
 
-    return tuple(out) if dfs(c - 1, m - 1) else None
+    return tuple(out) if dfs(c - 1, len(masks) - 1, (full_mask(k),) * s) else None
 
 
 def _scan_array(obj: SubsetFamily | Code) -> np.ndarray:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -577,6 +578,58 @@ def test_reduced_key_keeps_the_cover_verdict():
     assert min(seen.values()) >= 500, seen
 
 
+def _brute_cover(masks, c, s, k, distinct):
+    """Colex-least c-multiset (or c-set) of indices covering each of the k
+    points at least s times, over every coalition."""
+    from itertools import combinations, combinations_with_replacement
+
+    pick = combinations if distinct else combinations_with_replacement
+    covers = [
+        combo
+        for combo in pick(range(len(masks)), c)
+        if all(sum(masks[i] >> p & 1 for i in combo) >= s for p in range(k))
+    ]
+    return min(covers, key=lambda combo: combo[::-1], default=None)
+
+
+def test_search_cover_is_the_colex_least_cover():
+    # raw mask lists, one to four deficit planes, both variants: the search
+    # returns the brute colex-least coalition, or None when there is none
+    rng = random.Random(4242)
+    seen = Counter()
+    for trial in range(700):
+        k = rng.randint(0, 8)
+        if trial % 4 == 0:
+            c, s = 2, 1
+        else:
+            c = rng.randint(2, 5)
+            s = rng.randint(1, c - 1)
+        size = rng.randint(0, 11)
+        if trial % 10 == 1:
+            masks = [0] * size
+        else:
+            masks = [rng.randrange(1 << k) | rng.randrange(1 << k) for _ in range(size)]
+        for distinct in (False, True):
+            got = _search_cover(masks, c, s, k, distinct)
+            assert got == _brute_cover(masks, c, s, k, distinct), (masks, c, s, k, distinct)
+            seen["covered" if got else "uncovered"] += 1
+            seen["distinct, fewer masks than c"] += distinct and size < c
+            seen["(2,1) repeatable"] += (c, s, distinct) == (2, 1, False)
+            seen["four planes"] += s == 4
+            seen["k = 0"] += k == 0
+            seen["all zero"] += size > 0 and not any(masks)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_large_rs_witness_at_3_1():
+    # 4095 masks per focus: both variants find the same coalition at focus 0
+    code = rs_code(8, 8, 4)
+    guards = Guards(c=8, members=4096)
+    for search in (find_focal_code, find_critical_focal):
+        w = search(code, fp(3, 1), guards=guards)
+        assert (w.focus, w.coalition.to_json()) == (0, [[72, 1], [521, 1], [577, 1]])
+
+
 def test_focus_view_compresses_to_the_focus_points():
     # a family's traces are written over the focus's points, bit j for the
     # j-th point, the focus left out and the member order kept
@@ -782,9 +835,10 @@ def _random_instance(rng, trial):
 def test_witness_maps_back_across_the_focus():
     # view index i is member i + (i >= focus): coalitions with members on both
     # sides of the focus must come back as the colex-least witness, on the
-    # c=2, s=1 pair scan, the repeatable search and the distinct search
+    # repeatable search at c=2, s=1 and at other (c, s), and on the distinct
+    # search
     rng = random.Random(1515)
-    straddling = {"pair scan": 0, "repeatable": 0, "distinct": 0}
+    straddling = {"(2,1) repeatable": 0, "repeatable": 0, "distinct": 0}
     for trial in range(600):
         c = 2 if trial % 3 == 0 else rng.randint(2, 4)
         s = 1 if c == 2 else rng.randint(1, c - 1)
@@ -799,7 +853,10 @@ def test_witness_maps_back_across_the_focus():
                 continue
             members = [idx for idx, _ in got.coalition.counts]
             if members[0] < got.focus < members[-1]:
-                path = "distinct" if distinct else "pair scan" if (c, s) == (2, 1) else "repeatable"
+                if distinct:
+                    path = "distinct"
+                else:
+                    path = "(2,1) repeatable" if (c, s) == (2, 1) else "repeatable"
                 straddling[path] += 1
     assert min(straddling.values()) >= 20, straddling
 
