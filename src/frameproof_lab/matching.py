@@ -3,9 +3,13 @@
 m(n,t,lam;k1,k2) is the maximum size of a t-uniform family on [n] containing
 no lam repeatable members whose per-point multiplicities all fall between
 lam-k2+1 and k1-1.  The solver is a branch-and-bound over the colex list of
-t-subsets.  It first compiles the instance once: one count DFS collects the
-inclusion-minimal violating supports (sets of candidate indices carrying a
-qualifying collection), each registered at its highest index.  Legality of
+t-subsets.  It first compiles the instance once into the inclusion-minimal
+violating supports (sets of candidate indices carrying a qualifying
+collection), each registered at its highest index.  The violation rule is
+invariant under permutations of the points, so one count DFS collects only
+the supports holding the first t-subset {1..t}, and the rest are their
+images under point permutations that carry {1..t} onto each other
+candidate; this needs the full colex candidate list.  Legality of
 an inclusion is then a bitmask test against the chosen indices, made by one
 include/exclude engine.  The search stops at a cap: the closed-form upper
 bound, tightened by Katona's cyclic-order averaging, C(n,t) * alpha / n,
@@ -154,22 +158,41 @@ def find_violating_collection(
 # exact solver
 
 
-def _minimal_supports(
-    candidates: Sequence[int], n: int, params: DisjointnessParams
-) -> list[int]:
+def _minimal_supports(n: int, t: int, params: DisjointnessParams) -> list[int]:
     """Inclusion-minimal supports of the qualifying lam-multisets, ascending.
 
-    A support is the set of distinct candidate indices of a multiset, as a
-    bitmask over candidate indices.  One count DFS walks the non-decreasing
-    index multisets under _find_violating's per-point rules; candidates
-    through a point already at max_count are blocked by per-point masks.  A
-    branch is cut as soon as its partial support contains a support already
-    found: supports found since the partial support last grew lie in its
-    subtree, so only the partial support itself and the submasks holding the
-    new index can be among them.
+    The candidates are all t-subsets of [n] in colex order.  A support is
+    the set of distinct candidate indices of a multiset, as a bitmask over
+    candidate indices.  The rule only reads per-point multiplicities, so it
+    is invariant under permutations of the points: the compile searches
+    only the supports holding index 0, then maps them onto the others.
+
+    * One count DFS walks the non-decreasing index multisets whose least
+      index is 0 (candidate 0 is {0..t-1}) under _find_violating's
+      per-point rules; candidates through a point already at max_count are
+      blocked by per-point masks.  A branch is cut as soon as its partial
+      support contains a support already found: supports found since the
+      partial support last grew lie in its subtree, so only the partial
+      support itself and the submasks holding the new index and index 0
+      can be among them.
+    * For candidate i, sigma_i maps the points of candidate 0 onto those of
+      candidate i and the other points onto the rest in order.  The
+      supports holding index i are exactly the sigma_i-images of those
+      holding index 0.  So the supports found are walked by increasing
+      size: one is minimal iff no proper submask is already minimal (the
+      smaller sizes are complete by then), and a minimal one adds its
+      images under every sigma_i.
+
+    The argument needs the full colex candidate list, so the function
+    builds it rather than taking one.
     """
     lam, lo, hi = params.lam, params.min_count, params.max_count
-    points = [[p for p in range(n) if mask >> p & 1] for mask in candidates]
+    candidates = enumerate_subsets(n, t)
+    # sigma_i as a run of n points per candidate i: its own points, then the rest
+    sigmas = [
+        p for mask in candidates for side in (1, 0) for p in range(n) if mask >> p & 1 == side
+    ]
+    points = [sigmas[i : i + t] for i in range(0, len(sigmas), n)]
     through = [0] * n
     for i, pts in enumerate(points):
         for p in pts:
@@ -192,10 +215,12 @@ def _minimal_supports(
             if grown != support:
                 if support in found:
                     continue
-                sub = support  # walk the submasks of support, joined with bit
-                while sub and (sub | bit) not in found:
-                    sub = (sub - 1) & support
-                if (sub | bit) in found:
+                # every support found holds index 0, like support itself
+                rest, joined = support ^ 1, bit | 1
+                sub = rest  # walk the submasks of rest, joined with bit and 0
+                while sub and (sub | joined) not in found:
+                    sub = (sub - 1) & rest
+                if (sub | joined) in found:
                     continue
             pts = points[bit.bit_length() - 1]
             full = blocked
@@ -207,28 +232,53 @@ def _minimal_supports(
             for p in pts:
                 counts[p] -= 1
 
-    dfs(1, lam, 0, everything if hi == 0 else 0)
-    minimal = []
-    for support in found:
+    # the root: candidate 0 under the same rules as any other step
+    if hi and lam >= lo:
+        blocked = 0
+        for p in points[0]:
+            counts[p] = 1
+            if hi == 1:
+                blocked |= through[p]
+        dfs(1, lam - 1, 1, blocked)
+
+    if not found:
+        return []
+    minimal: set[int] = set()
+    bit_of = dict(zip(candidates, map((1).__lshift__, range(len(candidates)))))
+    # moved[p][i]: the point bit of sigma_i(p)
+    moved = [[1 << q for q in sigmas[p::n]] for p in range(n)]
+    columns: dict[int, list[int]] = {}  # j -> the index bit of sigma_i(j), per i
+    for support in sorted(found, key=int.bit_count):
         sub = (support - 1) & support  # walk the proper submasks
-        while sub and sub not in found:
+        while sub and sub not in minimal:
             sub = (sub - 1) & support
-        if not sub:
-            minimal.append(support)
+        if sub:
+            continue
+        cols = []
+        rest = support
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = bit.bit_length() - 1
+            if j not in columns:
+                # the points of candidate j are distinct, so sum is the OR of their images
+                images = map(sum, zip(*[moved[p] for p in points[j]]))
+                columns[j] = list(map(bit_of.__getitem__, images))
+            cols.append(columns[j])
+        # sigma_i is a bijection, so the image bits are distinct and sum is OR
+        minimal.update(map(sum, zip(*cols)))
     return sorted(minimal)
 
 
-def _registered_supports(
-    candidates: Sequence[int], n: int, params: DisjointnessParams
-) -> list[list[int]]:
+def _registered_supports(n: int, t: int, params: DisjointnessParams) -> list[list[int]]:
     """The minimal supports by highest index, each with that bit cleared.
 
     Entry i lists the rest of every support whose highest candidate index
     is i, so including i after a chosen-index bitmask is legal iff no entry
     lies inside that bitmask.
     """
-    registered: list[list[int]] = [[] for _ in candidates]
-    for support in _minimal_supports(candidates, n, params):
+    registered: list[list[int]] = [[] for _ in range(comb(n, t))]
+    for support in _minimal_supports(n, t, params):
         top = support.bit_length() - 1
         registered[top].append(support ^ (1 << top))
     return registered
@@ -320,7 +370,7 @@ def matching_number_exact(
             total, SubsetFamily(n, tuple(candidates), t), "exact", 0
         )
 
-    registered = _registered_supports(candidates, n, params)
+    registered = _registered_supports(n, t, params)
     cap = total
     two_sided = params.k1 is not None and params.k2 is not None and min(params.k1, params.k2) >= 2
     if two_sided:

@@ -385,7 +385,7 @@ def test_compiled_supports_are_the_minimal_qualifying_supports():
         candidates = enumerate_subsets(n, t)
         if comb(len(candidates) + lam - 1, lam) > 40000:
             continue
-        assert _minimal_supports(candidates, n, params) == _ref_minimal_supports(
+        assert _minimal_supports(n, t, params) == _ref_minimal_supports(
             candidates, n, params
         ), (n, t, lam, k1, k2)
 
@@ -398,7 +398,7 @@ def test_compiled_legality_matches_reference_oracle():
         if params.vacuous or not params.feasible:
             continue
         candidates = enumerate_subsets(n, t)
-        supports = _minimal_supports(candidates, n, params)
+        supports = _minimal_supports(n, t, params)
         for _ in range(6):
             # a random legal prefix, grown in increasing index order
             chosen = []
@@ -420,9 +420,150 @@ def test_compiled_legality_matches_reference_oracle():
     assert checked > 500
 
 
-def test_compile_prunes_supersets_of_found_supports():
-    # count the nodes of the compile's DFS: at (6,2,5) the superset prune
-    # cuts them from 326 to 106
+def _ref_full_dfs_supports(candidates, n, params):
+    # the compile without the orbit step: one count DFS over every
+    # non-decreasing index multiset, under the same per-point rules, blocked
+    # masks and superset prune
+    lam, lo, hi = params.lam, params.min_count, params.max_count
+    points = [[p for p in range(n) if mask >> p & 1] for mask in candidates]
+    through = [0] * n
+    for i, pts in enumerate(points):
+        for p in pts:
+            through[p] |= 1 << i
+    everything = (1 << len(candidates)) - 1
+    counts = [0] * n
+    found = set()
+
+    def dfs(start_bit, remaining, support, blocked):
+        if lo and min(counts) + remaining < lo:
+            return
+        if remaining == 0:
+            found.add(support)
+            return
+        free = everything & ~blocked & -start_bit
+        while free:
+            bit = free & -free
+            free ^= bit
+            grown = support | bit
+            if grown != support:
+                if support in found:
+                    continue
+                sub = support  # walk the submasks of support, joined with bit
+                while sub and (sub | bit) not in found:
+                    sub = (sub - 1) & support
+                if (sub | bit) in found:
+                    continue
+            pts = points[bit.bit_length() - 1]
+            full = blocked
+            for p in pts:
+                counts[p] += 1
+                if counts[p] == hi:
+                    full |= through[p]
+            dfs(bit, remaining - 1, grown, full)
+            for p in pts:
+                counts[p] -= 1
+
+    dfs(1, lam, 0, everything if hi == 0 else 0)
+    minimal = []
+    for support in found:
+        sub = (support - 1) & support  # walk the proper submasks
+        while sub and sub not in found:
+            sub = (sub - 1) & support
+        if not sub:
+            minimal.append(support)
+    return sorted(minimal)
+
+
+def _seeded_compile_cases():
+    rng = random.Random(2025)
+    cases = []
+    while len(cases) < 1000:
+        n = rng.randint(1, 7)
+        t = rng.randint(1, n)
+        if comb(n, t) > 35:
+            continue
+        lam = rng.randint(1, 6)
+        k1, k2 = rng.choice([None, 1, 2, 3, 4, 6]), rng.choice([None, 1, 2, 3, 4, 6])
+        cases.append((n, t, lam, k1, k2))
+    return cases
+
+
+def test_orbit_compile_matches_the_full_dfs():
+    nonempty = 0
+    for n, t, lam, k1, k2 in _seeded_compile_cases():
+        params = DisjointnessParams(lam, k1, k2)
+        expected = _ref_full_dfs_supports(enumerate_subsets(n, t), n, params)
+        assert _minimal_supports(n, t, params) == expected, (n, t, lam, k1, k2)
+        nonempty += bool(expected)
+    assert nonempty > 300
+
+
+@pytest.mark.parametrize(
+    "n, t, lam, k1, k2",
+    [
+        (5, 2, 3, 1, 3),  # k1 = 1: max_count = 0 blocks every candidate
+        (4, 2, 2, 1, None),
+        (4, 4, 3, 4, 2),  # t = n: one candidate, M = 1
+        (5, 5, 2, None, 2),
+        (4, 1, 4, 2, 4),  # t = 1: the candidates are the points
+        (5, 1, 5, 3, None),
+        (4, 2, 9, 6, 6),  # lam larger than M = 6
+        (3, 2, 6, 5, 3),
+    ],
+)
+def test_orbit_compile_edge_cases(n, t, lam, k1, k2):
+    params = DisjointnessParams(lam, k1, k2)
+    candidates = enumerate_subsets(n, t)
+    expected = _ref_full_dfs_supports(candidates, n, params)
+    assert _minimal_supports(n, t, params) == expected
+    assert expected == _ref_minimal_supports(candidates, n, params)
+    # max_count = 0 admits no collection; every other case has a support
+    assert bool(expected) == (k1 != 1)
+
+
+def test_supports_are_invariant_under_point_permutations():
+    rng = random.Random(77)
+    for n, t, lam, k1, k2 in [(6, 2, 4, 3, 5), (6, 3, 4, 3, 3), (7, 3, 4, 3, 4), (6, 2, 3, 2, 3)]:
+        supports = set(_minimal_supports(n, t, DisjointnessParams(lam, k1, k2)))
+        assert supports
+        candidates = enumerate_subsets(n, t)
+        index = {mask: i for i, mask in enumerate(candidates)}
+        for _ in range(5):
+            perm = rng.sample(range(n), n)
+            image = [
+                index[sum(1 << perm[p] for p in range(n) if mask >> p & 1)] for mask in candidates
+            ]
+            moved = {
+                sum(1 << image[i] for i in range(len(candidates)) if support >> i & 1)
+                for support in supports
+            }
+            assert moved == supports, (n, t, lam, k1, k2, perm)
+
+
+# SHA-256 of ",".join(map(str, supports)) from the full-root compile, per
+# m-table cell (c,s,k) -> (n, t, lam, k1, k2)
+PINNED_SUPPORTS = {
+    (8, 3, 4, 3, 5): "74438ae728287b80b92eae5398bdfb1cd6f46126659bc05f6c8597d5ecf2668c",
+    (7, 3, 4, 3, 4): "c58f831887b4251d0b69c5a72432ebb40c582e72efc3cf44fe72408cdd24fd58",
+    (6, 3, 6, 4, 4): "81c04461c62ce1731f5a16127ba2789821698de27ad5c27efce8fc589aaa2752",
+    (6, 4, 6, 5, 3): "64740bb100e842c55ca93dea1bf4b5b5c13f6681c58353f288048c56dc8e5172",
+    (8, 6, 4, 4, 2): "4e29b280e4e285ed11bbf6acbda9fcc320b45ce1b7d96fd521ee43dbdb029b97",
+    (8, 4, 4, 3, 3): "d7925441521e83968a4f0662b1791befff5baa88348cdb27328509ab5939103d",
+    (8, 5, 4, 4, 3): "7bc084ff99c930179b5665a667b810921a8b0d81730f8fe50811cea1f32d3820",
+    (8, 4, 6, 4, 4): "cdd7cf6438f7a11899bc9dbd74db1fdf9d5f6fbee03efda7cab1b6682f6900dc",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_SUPPORTS))
+def test_pinned_supports(cell):
+    n, t, lam, k1, k2 = cell
+    supports = _minimal_supports(n, t, DisjointnessParams(lam, k1, k2))
+    digest = hashlib.sha256(",".join(map(str, supports)).encode()).hexdigest()
+    assert digest == PINNED_SUPPORTS[cell]
+
+
+def _compile_nodes(n, t, params):
+    # the calls of the compile's DFS; its root step is taken outside it
     nodes = 0
 
     def profile(frame, event, arg):
@@ -430,14 +571,21 @@ def test_compile_prunes_supersets_of_found_supports():
         if event == "call" and frame.f_code.co_qualname == "_minimal_supports.<locals>.dfs":
             nodes += 1
 
-    params = DisjointnessParams(4, 3, 5)  # the m-table cell (c,s,k) = (6,2,5)
     sys.setprofile(profile)
     try:
-        supports = _minimal_supports(enumerate_subsets(5, 2), 5, params)
+        supports = _minimal_supports(n, t, params)
     finally:
         sys.setprofile(None)
-    assert len(supports) == 15
-    assert 0 < nodes <= 106
+    return len(supports), nodes
+
+
+def test_compile_prunes_supersets_of_found_supports():
+    # rooted at candidate 0, the DFS takes 23 calls at (6,2,5) (the full-root
+    # DFS took 106, and 326 without the superset prune) and 1,207 at (6,2,8)
+    # (18,799 from every root)
+    params = DisjointnessParams(4, 3, 5)  # the m-table cells (c,s,k) = (6,2,k)
+    assert _compile_nodes(5, 2, params) == (15, 23)
+    assert _compile_nodes(8, 3, params) == (1120, 1207)
 
 
 # m(n,t,lam;k1,k2) at node budget 2500.  (6,3,4;3,3) is proved by the
@@ -652,7 +800,7 @@ def test_interval_alpha_matches_a_sweep_over_the_intervals():
     for n, t, lam, k1, k2 in _alpha_cases():
         params = DisjointnessParams(lam, k1, k2)
         candidates = enumerate_subsets(n, t)
-        registered = _registered_supports(candidates, n, params)
+        registered = _registered_supports(n, t, params)
         slots = sorted(candidates.index(interval_mask(n, t, a)) for a in range(1, n + 1))
         alpha = _ref_alpha(n, t, params)
         for limit in range(1, n + 1):
