@@ -122,11 +122,13 @@ def rs_code(q: int, n: int, t: int) -> Code:
     if size > MAX_CODEWORDS:
         raise GuardError(f"q^t = {size} codewords exceed the cap {MAX_CODEWORDS}")
     words = np.zeros((1, n), dtype=np.int64)
+    points = np.arange(n)
+    powers = np.ones(n, dtype=np.int64)  # x^j at every point, 0^0 = 1
     for j in range(t):
-        powers = [field.pow(x, j) for x in range(n)]
-        table = np.array([[field.mul(c, xj) for xj in powers] for c in range(q)], dtype=np.int64)
+        table = field.mul(np.arange(q)[:, None], powers[None, :])
         # message c * q^j + m extends the word of message m < q^j
-        words = field.add_arrays(table[:, None, :], words[None, :, :]).reshape(-1, n)
+        words = field.add(table[:, None, :], words[None, :, :]).reshape(-1, n)
+        powers = field.mul(powers, points)
     code = Code(q, n, tuple(map(tuple, (words + 1).tolist())))
     # the code is linear, so its least nonzero weight (word 0 is zero) is its
     # distance, kept on the code for later certificates

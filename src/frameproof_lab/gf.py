@@ -4,6 +4,11 @@ Elements are integers 0..q-1 read as base-p digit vectors, i.e. polynomial
 coefficients over GF(p) in increasing degree.  Extension fields reduce
 modulo the first irreducible monic polynomial of degree e in that integer
 encoding, so the field is the same on every run.
+
+`add`, `neg`, `sub` and `mul` have one formula each, written on the digits,
+that takes Python ints and broadcastable integer arrays alike: a single
+element gives an int, arrays give the elementwise array.  `pow`, `inv` and
+`eval_poly` take single elements.
 """
 
 from __future__ import annotations
@@ -73,19 +78,9 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
-def _decode(code: int, p: int, length: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(code % p)
-        code //= p
-    return out
-
-
-def _encode(coeffs: list[int], p: int) -> int:
-    val = 0
-    for c in reversed(coeffs):
-        val = val * p + c
-    return val
+def _decode(code: int | np.ndarray, p: int, length: int) -> list:
+    """The lowest `length` base-p digits of code, lowest first."""
+    return [code // p**i % p for i in range(length)]
 
 
 @dataclass(frozen=True)
@@ -113,56 +108,57 @@ class GF:
                 return
         raise AssertionError("no irreducible modulus found")  # cannot happen
 
-    def _check(self, a: int) -> None:
+    def _check(self, a: int | np.ndarray) -> None:
+        if isinstance(a, np.ndarray):
+            bad = a[(a < 0) | (a >= self.q)]
+            a = bad[0] if len(bad) else 0  # the first bad entry, in C order
         if not 0 <= a < self.q:
             raise ParameterError(f"element {a} outside field of size {self.q}")
 
-    def add(self, a: int, b: int) -> int:
+    def _digits(self, a: int | np.ndarray) -> list:
+        """The e base-p digits of a, lowest first."""
+        return _decode(a, self.p, self.e)
+
+    def _number(self, digits: list) -> int | np.ndarray:
+        """The element whose base-p digits, lowest first, are `digits`."""
+        return sum(d * self.p**i for i, d in enumerate(digits))
+
+    def add(self, a: int | np.ndarray, b: int | np.ndarray) -> int | np.ndarray:
         self._check(a)
         self._check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = _decode(a, self.p, self.e), _decode(b, self.p, self.e)
-        return _encode([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field sum of two broadcastable integer arrays of elements."""
         if self.e == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        unit = 1
-        for _ in range(self.e):
-            out += (a // unit + b // unit) % self.p * unit
-            unit *= self.p
-        return out
+        return self._number([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
 
-    def neg(self, a: int) -> int:
+    def neg(self, a: int | np.ndarray) -> int | np.ndarray:
         self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        return _encode([(-x) % self.p for x in _decode(a, self.p, self.e)], self.p)
+        return self._number([-x % self.p for x in self._digits(a)])
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a: int | np.ndarray, b: int | np.ndarray) -> int | np.ndarray:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a: int | np.ndarray, b: int | np.ndarray) -> int | np.ndarray:
         self._check(a)
         self._check(b)
         if self.e == 1:
             return a * b % self.p
-        da, db = _decode(a, self.p, self.e), _decode(b, self.p, self.e)
+        da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.e - 1)
         for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        _, rem = _poly_divmod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.e - len(rem))
-        return _encode(rem, self.p)
+            for j, y in enumerate(db):
+                prod[i + j] += x * y
+        # reduce from the top: x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
+        for top in range(2 * self.e - 2, self.e - 1, -1):
+            coef = prod[top] % self.p
+            for i, m in enumerate(self.modulus[:-1]):
+                if m:
+                    prod[top - self.e + i] -= coef * m
+        return self._number([c % self.p for c in prod[: self.e]])
 
     def pow(self, a: int, k: int) -> int:
+        """a^k for a single element a and k >= 0, by repeated squaring."""
         self._check(a)
         if k < 0:
             raise ParameterError(f"exponent {k} must be >= 0")
@@ -175,13 +171,14 @@ class GF:
         return result
 
     def inv(self, a: int) -> int:
+        """The inverse of a single nonzero element a."""
         self._check(a)
         if a == 0:
             raise ParameterError("zero has no inverse")
         return self.pow(a, self.q - 2)
 
     def eval_poly(self, coeffs: list[int], x: int) -> int:
-        """Evaluate sum coeffs[i] * x^i by Horner's rule."""
+        """Evaluate sum coeffs[i] * x^i at a single element x by Horner's rule."""
         acc = 0
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), c)

@@ -91,56 +91,42 @@ def _find_violating(
     if lo > hi or not masks:
         return None
     counts = [0] * n
-    chosen: list[int] = []
+    chosen = [] if must_include is None else [must_include]
     points = [[p for p in range(n) if mask >> p & 1] for mask in masks]
 
-    def apply(v: int, delta: int) -> bool:
-        ok = True
+    def fits(v: int) -> bool:
+        for p in points[v]:
+            if counts[p] >= hi:
+                return False
+        return True
+
+    def apply(v: int, delta: int) -> None:
         for p in points[v]:
             counts[p] += delta
-            if counts[p] > hi:
-                ok = False
-        return ok
-
-    slots = lam
-    if must_include is not None:
-        if not apply(must_include, 1):
-            apply(must_include, -1)
-            return None
-        slots -= 1
-
-    def feasible(remaining: int) -> bool:
-        # every point must still be able to reach the lower bound
-        return min(counts) + remaining >= lo
 
     def dfs(start: int, remaining: int) -> bool:
-        # counts never pass hi here: apply refuses the step that would
-        if remaining == 0:
-            return min(counts) >= lo
-        if not feasible(remaining):
+        # counts never pass hi: a member is added only where it fits
+        if min(counts) + remaining < lo:  # some point can no longer reach lo
             return False
+        if remaining == 0:
+            return True
         for v in range(start, len(masks)):
-            if apply(v, 1):
+            if fits(v):
+                apply(v, 1)
                 chosen.append(v)
                 if dfs(v, remaining - 1):
                     return True
                 chosen.pop()
-            apply(v, -1)
+                apply(v, -1)
         return False
 
-    if not feasible(slots):
-        if must_include is not None:
-            apply(must_include, -1)
-        return None
-    found = dfs(0, slots)
     if must_include is not None:
-        apply(must_include, -1)
-    if not found:
+        if not fits(must_include):
+            return None
+        apply(must_include, 1)
+    if not dfs(0, lam - len(chosen)):
         return None
-    result = list(chosen)
-    if must_include is not None:
-        result.append(must_include)
-    return tuple(sorted(result))
+    return tuple(sorted(chosen))
 
 
 def find_violating_collection(
@@ -226,7 +212,7 @@ def _minimal_supports(n: int, t: int, params: DisjointnessParams) -> list[int]:
             full = blocked
             for p in pts:
                 counts[p] += 1
-                if counts[p] == hi:
+                if counts[p] >= hi:
                     full |= through[p]
             dfs(bit, remaining - 1, grown, full)
             for p in pts:

@@ -55,12 +55,87 @@ def test_pow_rejects_negative_exponent():
     assert GF(7).pow(3, 0) == 1 and GF(7).pow(0, 0) == 1
 
 
-@pytest.mark.parametrize("q", [2, 5, 8, 9, 16, 25, 27])
-def test_add_arrays_matches_add(q):
+# The scalar arithmetic GF had before its operations ran on arrays: digit
+# loops for add and neg, and a polynomial product reduced by long division.
+# It is the reference for the one formula per operation that GF now has.
+
+
+def _ref_digits(a, p, e):
+    out = []
+    for _ in range(e):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _ref_number(digits, p):
+    val = 0
+    for d in reversed(digits):
+        val = val * p + d
+    return val
+
+
+def _ref_add(f, a, b):
+    da, db = _ref_digits(a, f.p, f.e), _ref_digits(b, f.p, f.e)
+    return _ref_number([(x + y) % f.p for x, y in zip(da, db)], f.p)
+
+
+def _ref_neg(f, a):
+    return _ref_number([(-x) % f.p for x in _ref_digits(a, f.p, f.e)], f.p)
+
+
+def _ref_mul(f, a, b):
+    da, db = _ref_digits(a, f.p, f.e), _ref_digits(b, f.p, f.e)
+    prod = [0] * (2 * f.e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % f.p
+    # long division by the monic modulus; the remainder is the product
+    den = list(f.modulus)
+    for shift in range(len(prod) - len(den), -1, -1):
+        coef = prod[shift + len(den) - 1]
+        for i, d in enumerate(den):
+            prod[shift + i] = (prod[shift + i] - coef * d) % f.p
+    return _ref_number(prod[: f.e], f.p)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64, 81, 121, 125])
+def test_ops_match_reference_on_full_grids(q):
     f = GF(q)
     a = np.arange(q)
-    got = f.add_arrays(a[:, None], a[None, :])
-    assert got.tolist() == [[f.add(x, y) for y in range(q)] for x in range(q)]
+    grid = [(x, y) for x in range(q) for y in range(q)]
+    assert f.add(a[:, None], a[None, :]).ravel().tolist() == [_ref_add(f, x, y) for x, y in grid]
+    assert f.mul(a[:, None], a[None, :]).ravel().tolist() == [_ref_mul(f, x, y) for x, y in grid]
+    assert f.neg(a).tolist() == [_ref_neg(f, x) for x in range(q)]
+    # single elements give Python ints with the same values
+    rng = random.Random(q)
+    for x, y in rng.sample(grid, min(len(grid), 200)):
+        for got, want in ((f.add(x, y), _ref_add(f, x, y)), (f.mul(x, y), _ref_mul(f, x, y)),
+                          (f.neg(x), _ref_neg(f, x)), (f.sub(x, y), _ref_add(f, x, _ref_neg(f, y)))):
+            assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("q", [7, 9, 16])
+def test_ops_broadcast_column_by_row(q):
+    f = GF(q)
+    col = np.arange(q)[:, None]
+    row = np.array([[1, q - 1, 0, 2]])
+    for op, ref in ((f.add, _ref_add), (f.mul, _ref_mul)):
+        got = op(col, row)
+        assert got.shape == (q, 4)
+        assert got.tolist() == [[ref(f, x, y) for y in row[0].tolist()] for x in range(q)]
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_array_error_names_first_bad_entry(bad):
+    f = GF(9)
+    a = np.array([[0, 1, 2], [3, bad, 8], [bad, 7, 6]])
+    for call in (lambda: f.add(a, 1), lambda: f.mul(2, a), lambda: f.neg(a)):
+        with pytest.raises(ParameterError) as err:
+            call()
+        assert str(err.value) == f"element {bad} outside field of size 9"
+    with pytest.raises(ParameterError):
+        f.mul(bad, 1)
 
 
 def test_eval_poly():
