@@ -125,10 +125,11 @@ def rs_code(q: int, n: int, t: int) -> Code:
     points = np.arange(n)
     powers = np.ones(n, dtype=np.int64)  # x^j at every point, 0^0 = 1
     for j in range(t):
+        if j:
+            powers = field.mul(powers, points)
         table = field.mul(np.arange(q)[:, None], powers[None, :])
         # message c * q^j + m extends the word of message m < q^j
         words = field.add(table[:, None, :], words[None, :, :]).reshape(-1, n)
-        powers = field.mul(powers, points)
     code = Code(q, n, tuple(map(tuple, (words + 1).tolist())))
     # the code is linear, so its least nonzero weight (word 0 is zero) is its
     # distance, kept on the code for later certificates

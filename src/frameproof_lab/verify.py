@@ -11,16 +11,23 @@ where it is judged, and two members agree exactly where their rows are
 equal.  The own-subsequence census reads the same array.  A focus is first
 refuted by counting where it can be: c coalition members cover at most
 c * max_B |A & B| incidences of the focus A, and a cover needs s * |A|; all
-foci are counted a block at a time, so an early witness ends the scan.  This is the paper's pigeonhole and distance bound (c(n-d) < s*n
-on a code), so a code it certifies is decided without any search.  A focus
-that survives gets one view, the other members' agreement masks of its k
-points (bit j for the j-th point), decided on its reduced instance: a
-member whose mask lies inside those of `need` others (1 when members repeat,
-c when distinct) can be swapped out of any cover, so each class of equal
-masks keeps at most need minus the members above it.  Reduced instances
-with no cover are remembered within a scan; on a linear code every focus
-shares one.  The colex search on the view itself runs only at the first
-violating focus, to produce the witness.
+foci are counted a block at a time, so an early witness ends the scan.
+This is the paper's pigeonhole and distance bound (c(n-d) < s*n on a code),
+so a code it certifies is decided without any search.  A focus that
+survives gets one view, the other members' agreement masks of its k points
+(bit j for the j-th point), and one dominance rule: a member whose mask
+lies inside those of `need` others (1 when members repeat, c when
+distinct) can be swapped out of any cover.  Walked over the classes of
+equal masks by decreasing popcount, the rule gives the focus's reduced
+instance, the key under which instances with no cover are remembered
+within a scan; on a linear code every focus shares one.  A focus whose key
+is not yet refuted gets one cover search, on its index-order view: the
+members walked by index, each kept unless `need` kept members before it
+contain its mask.  That search gives the verdict and the witness: a cover
+holding a dropped member can swap it for one of the `need` earlier kept
+members containing it (one outside the coalition when members are
+distinct), which gives a colex-smaller cover, so the colex-least cover of
+all members uses only kept ones.
 
 The reference paths, validate_witness and naive_find_focal, count straight
 from the words and sets and share no code with the scan or the kernels.
@@ -37,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -314,23 +321,28 @@ def _surviving_foci(rows: np.ndarray, params: FrameproofParams) -> Iterator[int]
         yield from (lo + np.flatnonzero(need[lo:hi] <= cover)).tolist()
 
 
-def _reduced_key(k: int, masks: list[int], need: int) -> tuple[int, tuple]:
-    """Canonical reduced instance of one focus view: (k, sorted (mask, count)
-    classes), with a cover exactly when the view has one.
+def _dominance(classes: Iterable[tuple[int, int]], need: int) -> Iterator[int]:
+    """Copies kept of each (mask, count) class, walked in the given order.
 
     A member whose mask lies inside those of `need` other members can be
     swapped for one of them in any cover (need = 1 when members repeat, c
-    when distinct: a coalition holds at most c - 1 others), so each class,
-    walked by decreasing popcount, keeps at most need - above copies, above
-    being the kept members with a strict superset mask.
+    when distinct: a coalition holds at most c - 1 others), so a class keeps
+    at most need minus the copies already kept whose masks contain its own.
     """
-    classes = sorted(Counter(masks).items(), key=lambda mc: mc[0].bit_count(), reverse=True)
-    kept: list[tuple[int, int]] = []
+    kept: dict[int, int] = {}
     for m, cnt in classes:
-        above = sum(copies for big, copies in kept if big & m == m)
-        if above < need:
-            kept.append((m, min(cnt, need - above)))
-    return k, tuple(sorted(kept))
+        take = max(0, min(cnt, need - sum(n for big, n in kept.items() if big & m == m)))
+        kept[m] = kept.get(m, 0) + take
+        yield take
+
+
+def _reduced_key(k: int, masks: list[int], need: int) -> tuple[int, tuple]:
+    """Canonical reduced instance of one focus view: (k, sorted (mask, count)
+    classes), with a cover exactly when the view has one; the classes are
+    walked by decreasing popcount, so each comes after every superset."""
+    classes = sorted(Counter(masks).items(), key=lambda mc: mc[0].bit_count(), reverse=True)
+    taken = _dominance(classes, need)
+    return k, tuple(sorted((m, n) for (m, _), n in zip(classes, taken) if n))
 
 
 def _scan_foci(
@@ -342,26 +354,24 @@ def _scan_foci(
     rows = _scan_array(obj)
     _check_guards(len(obj), params.c, guards)
     refuted: set[tuple[int, tuple]] = set()
+    need = params.c if distinct else 1
     for focus in _surviving_foci(rows, params):
         # the focus row agrees with itself on all k of its points
         points = rows[focus] > 0
         k = int(points.sum())
         masks = _kernels.agreement_masks(rows[:, points], focus).tolist()
         del masks[focus]
-        key = _reduced_key(k, masks, params.c if distinct else 1)
+        key = _reduced_key(k, masks, need)
         if key in refuted:
             continue
-        reduced = [m for m, cnt in key[1] for _ in range(cnt)]
-        if _search_cover(reduced, params.c, params.s, k, distinct) is None:
+        # the index-order view holds the colex-least cover of all members
+        kept = [i for i, n in enumerate(_dominance(((m, 1) for m in masks), need)) if n]
+        found = _search_cover([masks[i] for i in kept], params.c, params.s, k, distinct)
+        if found is None:
             refuted.add(key)
             continue
-        found = _search_cover(masks, params.c, params.s, k, distinct)
-        if found is None:
-            raise AssertionError(
-                f"reduced instance of focus {focus} has a cover, the full search none"
-            )
-        # view index i is member i + (i >= focus); the map keeps the colex order
-        coalition = IndexMultiset.from_indices(i + (i >= focus) for i in found)
+        # masks index i is member i + (i >= focus); both maps keep the colex order
+        coalition = IndexMultiset.from_indices(kept[j] + (kept[j] >= focus) for j in found)
         witness = FocalWitness(_kind(obj), focus, coalition, distinct)
         validate_witness(obj, witness, params)
         return witness

@@ -19,6 +19,7 @@ from frameproof_lab.verify import (
     Code,
     FocalWitness,
     Guards,
+    _dominance,
     _reduced_key,
     _scan_array,
     _search_cover,
@@ -630,6 +631,46 @@ def test_large_rs_witness_at_3_1():
         assert (w.focus, w.coalition.to_json()) == (0, [[72, 1], [521, 1], [577, 1]])
 
 
+def test_large_rs_repeatable_witnesses_at_high_c():
+    # c = q and s = 2: the index-order view of focus 0 holds the colex-least
+    # cover, found in one search
+    guards = Guards(c=8, members=512)
+    w = find_focal_code(rs_code(7, 7, 3), fp(7, 2), guards=guards)
+    assert (w.focus, w.coalition.to_json()) == (0, [[54, 1], [56, 2], [57, 1], [61, 2], [69, 1]])
+    w = find_focal_code(rs_code(8, 8, 3), fp(8, 2), guards=guards)
+    assert (w.focus, w.coalition.to_json()) == (0, [[72, 2], [74, 2], [76, 2], [78, 2]])
+
+
+def test_index_order_view_keeps_the_colex_least_cover():
+    # crowded views: equal and nested classes, zero masks, fewer members than
+    # c; the search on the kept members, mapped back, is the colex-least
+    # cover of the full list
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(400):
+        k = rng.randint(0, 8)
+        tops = [rng.randrange(1 << k) for _ in range(rng.randint(1, 3))]
+        masks = [
+            0 if rng.random() < 0.1 else rng.choice(tops) & rng.choice((rng.randrange(1 << k), -1))
+            for _ in range(rng.randint(0, 14))
+        ]
+        c = rng.randint(2, 5)
+        s = rng.randint(1, c - 1)
+        for distinct in (False, True):
+            # the positions the scan keeps when it walks the members by index
+            taken = _dominance(((m, 1) for m in masks), c if distinct else 1)
+            kept = [i for i, n in enumerate(taken) if n]
+            found = _search_cover([masks[i] for i in kept], c, s, k, distinct)
+            got = found and tuple(kept[j] for j in found)
+            assert got == _search_cover(masks, c, s, k, distinct), (k, masks, c, s, distinct)
+            assert got == _brute_cover(masks, c, s, k, distinct), (k, masks, c, s, distinct)
+            seen["covered" if got else "uncovered"] += 1
+            seen["shrunk"] += len(kept) < len(masks)
+            seen["fewer members than c"] += len(masks) < c
+            seen["zero mask"] += 0 in masks
+    assert min(seen.values()) >= 40, seen
+
+
 def test_focus_view_compresses_to_the_focus_points():
     # a family's traces are written over the focus's points, bit j for the
     # j-th point, the focus left out and the member order kept
@@ -689,6 +730,36 @@ def test_linear_code_is_refuted_by_counting(monkeypatch):
     assert find_critical_focal(code, fp(3, 1)) is None
     assert len(code) == 49
     assert calls == {"_search_cover": [], "viewed": []}
+
+
+def test_one_cover_search_per_unrefuted_key(monkeypatch):
+    # the witness focus is searched once, on its index-order view: the
+    # verdict and the witness come from the same search
+    code = rs_code(8, 8, 4)
+    guards = Guards(c=8, members=4096)
+    for search in (find_focal_code, find_critical_focal):
+        calls = _counting_calls(monkeypatch)
+        assert search(code, fp(3, 1), guards=guards).focus == 0
+        assert calls["viewed"] == [0] and len(calls["_search_cover"]) == 1
+        monkeypatch.undo()
+    # over seeded scans, one search per key not yet refuted, none for the rest
+    rng = random.Random(2626)
+    witnesses = 0
+    for trial in range(300):
+        obj = _random_instance(rng, trial)
+        c = rng.randint(2, 4)
+        params = fp(c, rng.randint(1, c - 1))
+        repeatable = find_focal_hypergraph if isinstance(obj, SubsetFamily) else find_focal_code
+        for distinct, search in ((False, repeatable), (True, find_critical_focal)):
+            calls = _counting_calls(monkeypatch)
+            got = search(obj, params)
+            monkeypatch.undo()
+            keys = [_reduced_key(*_view(obj, f), c if distinct else 1) for f in calls["viewed"]]
+            assert len(calls["_search_cover"]) == len(set(keys)), (obj, params, distinct)
+            if got is not None:
+                assert keys[-1] not in keys[:-1]
+                witnesses += 1
+    assert witnesses >= 100, witnesses
 
 
 def test_unrefuted_foci_share_one_reduced_verdict(monkeypatch):
@@ -901,7 +972,8 @@ def test_focus_blocks_give_the_default_witness(monkeypatch):
 
 
 def test_reference_paths_do_not_use_the_kernels(monkeypatch):
-    # naive_find_focal and validate_witness count from the words themselves
+    # naive_find_focal and validate_witness count from the words themselves,
+    # without the kernels, the cover search or the dominance rule
     from frameproof_lab import _kernels
 
     rng = random.Random(99)
@@ -915,9 +987,13 @@ def test_reference_paths_do_not_use_the_kernels(monkeypatch):
             cases.append((code, params, distinct, search(code, params)))
 
     def broken(*args, **kwargs):
-        raise RuntimeError("kernel called")
+        raise RuntimeError("scan path called")
 
     monkeypatch.setattr(_kernels, "agreement_masks", broken)
+    import frameproof_lab.verify as verify
+
+    for name in ("_search_cover", "_reduced_key", "_dominance"):
+        monkeypatch.setattr(verify, name, broken)
     witnesses = 0
     for code, params, distinct, want in cases:
         got = naive_find_focal(code, params, distinct)
