@@ -19,15 +19,18 @@ survives gets one view, the other members' agreement masks of its k points
 lies inside those of `need` others (1 when members repeat, c when
 distinct) can be swapped out of any cover.  Walked over the classes of
 equal masks by decreasing popcount, the rule gives the focus's reduced
-instance, the key under which instances with no cover are remembered
-within a scan; on a linear code every focus shares one.  A focus whose key
-is not yet refuted gets one cover search, on its index-order view: the
-members walked by index, each kept unless `need` kept members before it
-contain its mask.  That search gives the verdict and the witness: a cover
-holding a dropped member can swap it for one of the `need` earlier kept
-members containing it (one outside the coalition when members are
+instance, which has a cover exactly when the view has one and is the key
+under which instances with no cover are remembered within a scan; on a
+linear code every focus shares one.  A focus whose key is not yet refuted is decided by
+one cover search on its reduced instance.  Only a focus with a cover gets a
+second search, for the witness, on its index-order view: the members walked
+by index, each kept unless `need` kept members before it contain its mask.
+A cover holding a dropped member can swap it for one of the `need` earlier
+kept members containing it (one outside the coalition when members are
 distinct), which gives a colex-smaller cover, so the colex-least cover of
-all members uses only kept ones.
+all members uses only kept ones.  The view also keeps members that only
+later ones contain, so it is usually larger than the reduced instance, and
+a search that finds no cover takes longer on it.
 
 The reference paths, validate_witness and naive_find_focal, count straight
 from the words and sets and share no code with the scan or the kernels.
@@ -332,7 +335,8 @@ def _dominance(classes: Iterable[tuple[int, int]], need: int) -> Iterator[int]:
     kept: dict[int, int] = {}
     for m, cnt in classes:
         take = max(0, min(cnt, need - sum(n for big, n in kept.items() if big & m == m)))
-        kept[m] = kept.get(m, 0) + take
+        if take:
+            kept[m] = kept.get(m, 0) + take
         yield take
 
 
@@ -341,8 +345,7 @@ def _reduced_key(k: int, masks: list[int], need: int) -> tuple[int, tuple]:
     classes), with a cover exactly when the view has one; the classes are
     walked by decreasing popcount, so each comes after every superset."""
     classes = sorted(Counter(masks).items(), key=lambda mc: mc[0].bit_count(), reverse=True)
-    taken = _dominance(classes, need)
-    return k, tuple(sorted((m, n) for (m, _), n in zip(classes, taken) if n))
+    return k, tuple(sorted((m, n) for (m, _), n in zip(classes, _dominance(classes, need)) if n))
 
 
 def _scan_foci(
@@ -364,12 +367,14 @@ def _scan_foci(
         key = _reduced_key(k, masks, need)
         if key in refuted:
             continue
-        # the index-order view holds the colex-least cover of all members
-        kept = [i for i, n in enumerate(_dominance(((m, 1) for m in masks), need)) if n]
-        found = _search_cover([masks[i] for i in kept], params.c, params.s, k, distinct)
-        if found is None:
+        # the reduced instance decides; the view has its verdict but is larger
+        reduced = [m for m, n in key[1] for _ in range(n)]
+        if _search_cover(reduced, params.c, params.s, k, distinct) is None:
             refuted.add(key)
             continue
+        # a cover exists, and the index-order view holds the colex-least one
+        kept = [i for i, n in enumerate(_dominance(((m, 1) for m in masks), need)) if n]
+        found = _search_cover([masks[i] for i in kept], params.c, params.s, k, distinct)
         # masks index i is member i + (i >= focus); both maps keep the colex order
         coalition = IndexMultiset.from_indices(kept[j] + (kept[j] >= focus) for j in found)
         witness = FocalWitness(_kind(obj), focus, coalition, distinct)

@@ -633,7 +633,7 @@ def test_large_rs_witness_at_3_1():
 
 def test_large_rs_repeatable_witnesses_at_high_c():
     # c = q and s = 2: the index-order view of focus 0 holds the colex-least
-    # cover, found in one search
+    # cover
     guards = Guards(c=8, members=512)
     w = find_focal_code(rs_code(7, 7, 3), fp(7, 2), guards=guards)
     assert (w.focus, w.coalition.to_json()) == (0, [[54, 1], [56, 2], [57, 1], [61, 2], [69, 1]])
@@ -732,17 +732,30 @@ def test_linear_code_is_refuted_by_counting(monkeypatch):
     assert calls == {"_search_cover": [], "viewed": []}
 
 
-def test_one_cover_search_per_unrefuted_key(monkeypatch):
-    # the witness focus is searched once, on its index-order view: the
-    # verdict and the witness come from the same search
+def _index_order_view(masks, need):
+    """The masks the scan keeps when it walks the members by index."""
+    return [m for m, n in zip(masks, _dominance(((m, 1) for m in masks), need)) if n]
+
+
+def test_reduced_instance_decides_and_the_view_gives_the_witness(monkeypatch):
+    # a key not yet refuted is decided by one search on its reduced instance;
+    # only a focus with a cover gets a second search, on its index-order
+    # view, never on all of its members
     code = rs_code(8, 8, 4)
     guards = Guards(c=8, members=4096)
-    for search in (find_focal_code, find_critical_focal):
+    k, masks = _view(code, 0)
+    for search, need in ((find_focal_code, 1), (find_critical_focal, 3)):
         calls = _counting_calls(monkeypatch)
         assert search(code, fp(3, 1), guards=guards).focus == 0
-        assert calls["viewed"] == [0] and len(calls["_search_cover"]) == 1
+        key = _reduced_key(k, masks, need)
+        reduced, view = (args[0] for args in calls["_search_cover"])
+        assert calls["viewed"] == [0]
+        assert sorted(reduced) == sorted(m for m, n in key[1] for _ in range(n))
+        assert view == _index_order_view(masks, need)
+        assert len(reduced) < len(view) < len(masks)
         monkeypatch.undo()
     # over seeded scans, one search per key not yet refuted, none for the rest
+    # and one more, on the view, at the witness focus
     rng = random.Random(2626)
     witnesses = 0
     for trial in range(300):
@@ -751,13 +764,16 @@ def test_one_cover_search_per_unrefuted_key(monkeypatch):
         params = fp(c, rng.randint(1, c - 1))
         repeatable = find_focal_hypergraph if isinstance(obj, SubsetFamily) else find_focal_code
         for distinct, search in ((False, repeatable), (True, find_critical_focal)):
+            need = c if distinct else 1
             calls = _counting_calls(monkeypatch)
             got = search(obj, params)
             monkeypatch.undo()
-            keys = [_reduced_key(*_view(obj, f), c if distinct else 1) for f in calls["viewed"]]
-            assert len(calls["_search_cover"]) == len(set(keys)), (obj, params, distinct)
+            keys = [_reduced_key(*_view(obj, f), need) for f in calls["viewed"]]
+            searched = [args[0] for args in calls["_search_cover"]]
+            assert len(searched) == len(set(keys)) + (got is not None), (obj, params, distinct)
             if got is not None:
                 assert keys[-1] not in keys[:-1]
+                assert searched[-1] == _index_order_view(_view(obj, got.focus)[1], need)
                 witnesses += 1
     assert witnesses >= 100, witnesses
 
