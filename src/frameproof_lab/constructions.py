@@ -16,7 +16,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     DisjointnessParams,
     FormatError,
@@ -527,6 +526,8 @@ def faithful_code_family(
     """
     if q < 2:
         raise ParameterError(f"alphabet size q={q} must be >= 2")
+    if n < 1:
+        raise ParameterError(f"word length n={n} must be >= 1")
     _check_budget(budget)
     size = q**n
     if size > MAX_CODEWORDS:
@@ -535,13 +536,23 @@ def faithful_code_family(
     t = pattern.uniform_k
     if t is None:
         raise AssertionError("matching-complement pattern is not uniform")
-    # two words agreeing on exactly these coordinates cannot both be accepted
-    rejected = np.bitwise_count(np.arange(1 << n)) > t
-    rejected[list(pattern.sets)] = True
+    # the agreement sets two accepted words may have
+    keep = np.bitwise_count(np.arange(1 << n)) <= t
+    keep[list(pattern.sets)] = False
+    # the candidates in scan order, column-major, as 0-based symbols
     index = np.array(_scan_order(size, seed, budget), dtype=np.int64)
-    words = index[:, None] // q ** np.arange(n - 1, -1, -1) % q + 1
+    cols = np.empty((n, len(index)), dtype=np.min_scalar_type(q - 1))
+    for i in range(n - 1, -1, -1):
+        index, cols[i] = np.divmod(index, q)
+    mask_type = np.min_scalar_type((1 << n) - 1)
     accepted = []
-    for pos, later in _forward_scan(len(words)):
+    for pos, later in _forward_scan(cols.shape[1]):
         accepted.append(pos)
-        later &= ~rejected[_kernels.agreement_masks(words[pos:], 0)[1:]]
-    return Code(q, n, tuple(map(tuple, words[accepted].tolist())))
+        # bit i of a later candidate's mask: it agrees with pos on coordinate i
+        masks = (cols[0, pos + 1 :] == cols[0, pos]).astype(mask_type)
+        for i in range(1, n):
+            masks |= (cols[i, pos + 1 :] == cols[i, pos]).astype(mask_type) << i
+        later &= keep[masks]
+    # widened first: symbol q = 256 does not fit an 8-bit column
+    words = cols[:, accepted].T.astype(np.int64) + 1
+    return Code(q, n, tuple(map(tuple, words.tolist())))

@@ -5,9 +5,11 @@ one traced pass.  Every per-layer metric that `BENCHMARK.json` declares must
 come back as a finite number: the benchmark prints `null` for a layer whose
 traced names are all gone from the program, or whose hooked result field is
 gone, and a NaN would make its last line invalid JSON.  The answer digest
-of each seed-1 tiny run is pinned, and so is that of the full seed-1
-verify-holds run, whose answers come from every verify route: a change
-that alters answers on purpose updates the pin and says why.
+of each seed-1 tiny run is pinned, and so are those of the full seed-1
+verify-holds run, whose answers come from every verify route, and of the
+full seed-1 construct run, whose answers come from every construction and
+every faithful shape: a change that alters answers on purpose updates the
+pin and says why.
 """
 
 import importlib.util
@@ -26,6 +28,7 @@ TINY_DIGESTS = {
     "construct": "cff0a5f2ad55c10dbc3d2a3f19c5a506184e4e32580a239a5c91345d148d64f6",
 }
 FULL_VERIFY_DIGEST = "12bcc450d0e6eabf670abe618a13dee1cd131c74d24fc9ad76ead1ade7b6b4e5"
+FULL_CONSTRUCT_DIGEST = "82ae258574aad2c843cdc705402e87002dbc1b3d10adf8e5aa6855163b61c27a"
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +66,10 @@ def test_full_verify_holds_digest_is_pinned(bench):
     result, notes = run.run_workload(fl, "verify-holds", 1, seconds=0, trace=False)
     assert result["correct"] and result["failed"] == 0, notes
     assert f"digest sha256 {FULL_VERIFY_DIGEST}" in notes, notes
+
+
+def test_full_construct_digest_is_pinned(bench):
+    run, fl = bench
+    result, notes = run.run_workload(fl, "construct", 1, seconds=0, trace=False)
+    assert result["correct"] and result["failed"] == 0, notes
+    assert f"digest sha256 {FULL_CONSTRUCT_DIGEST}" in notes, notes

@@ -267,6 +267,7 @@ MALFORMED = [
      "--budget", "-3"),
     ("matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "0", "--k2", "2"),
     ("construct", "faithful", "--n", "4", "--c", "3", "--s", "2", "--q", "4", "--budget", "-1"),
+    ("construct", "faithful", "--n", "0", "--c", "3", "--s", "2", "--q", "4"),
     ("construct", "induced", "--k", "3", "--c", "4", "--s", "2", "--n", "7", "--budget", "-1"),
     ("construct", "packing", "--n", "7", "--k", "3", "--t", "2", "--order", "seeded-random"),
     ("construct", "packing", "--n", "8", "--k", "3", "--t", "2", "--seed", "3"),

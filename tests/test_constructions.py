@@ -310,6 +310,8 @@ def test_cheap_checks_precede_the_pattern_solve(monkeypatch):
         faithful_code_family(8, 6, 3, 6)  # 6^8 candidate words
     with pytest.raises(ParameterError):
         faithful_code_family(4, 3, 2, 1)
+    with pytest.raises(ParameterError, match=r"word length n=0 must be >= 1"):
+        faithful_code_family(0, 3, 2, 4)
     with pytest.raises(ParameterError):
         induced_packing_family(8, 6, 3, 5)  # n < k
     # C(24,12) and more candidate sets exceed MAX_CODEWORDS, budget or not
@@ -444,14 +446,27 @@ def _ref_faithful(n, c, s, q, seed, budget):
     return accepted
 
 
+# (seed, budget) runs of the shapes at the scan's dtype boundaries and of a
+# benchmark shape; every other shape runs each seed in (None, 0, 11) with each
+# budget in (None, 0, 1, 7, q^n // 2)
+_FAITHFUL_RUNS = {
+    (10, 2, 1, 2): [(None, None), (11, None), (0, 300)],  # masks wider than 8 bits
+    (2, 2, 1, 257): [(None, 400), (11, 400)],  # symbols wider than 8 bits
+    (2, 2, 1, 256): [(None, 400), (11, 400)],  # symbol 256 from an 8-bit column
+    (6, 3, 2, 4): [(1, 1200)],
+}
+
+
 @pytest.mark.parametrize("ncsq", [(3, 2, 1, 3), (4, 2, 1, 4), (4, 3, 2, 4), (5, 3, 2, 3),
-                                  (3, 4, 3, 4), (5, 4, 3, 2)])
+                                  (3, 4, 3, 4), (5, 4, 3, 2), *_FAITHFUL_RUNS])
 def test_faithful_matches_reference_greedy(ncsq):
     n, c, s, q = ncsq
-    for seed in (None, 0, 11):
-        for budget in (None, 0, 1, 7, q**n // 2):
-            code = faithful_code_family(n, c, s, q, seed=seed, budget=budget)
-            assert list(code.words) == _ref_faithful(n, c, s, q, seed, budget)
+    runs = _FAITHFUL_RUNS.get(ncsq) or [
+        (seed, budget) for seed in (None, 0, 11) for budget in (None, 0, 1, 7, q**n // 2)
+    ]
+    for seed, budget in runs:
+        code = faithful_code_family(n, c, s, q, seed=seed, budget=budget)
+        assert list(code.words) == _ref_faithful(n, c, s, q, seed, budget)
 
 
 def _ref_induced(k, c, s, n, seed, budget):
