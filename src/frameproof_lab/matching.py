@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .bounds import BoundEntry, BoundReport, Hypothesis
 from .core import (
     DisjointnessParams,
     FrameproofParams,
+    GuardError,
     ParameterError,
     SubsetFamily,
     enumerate_subsets,
@@ -45,8 +46,10 @@ from .core import (
 )
 
 SUBSET_CAP = 400
-# multiset rows per block of the brute-force quantifier check
+# multiset rows per block of the brute-force quantifier check, and the most
+# rows that check may take before the oracle gives up
 _BRUTE_BLOCK = 4096
+_BRUTE_ROWS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -406,68 +409,85 @@ def _pierced_stars(
     )
 
 
-def _multiset_rows(m: int, lam: int) -> Iterator[np.ndarray]:
-    """The non-decreasing rows of lam indices below m, in uint8 blocks.
-
-    The last `tail` columns are all non-decreasing tail-tuples, built by
-    combinations_with_replacement, with tail as long as they fit in one
-    block of _BRUTE_BLOCK rows.  The rows then grow leftwards with numpy:
-    a row whose first entry is f takes each of 0..f in front of it.  A
-    grown array is cut into blocks of _BRUTE_BLOCK rows before it grows
-    again, so none holds more than m * _BRUTE_BLOCK rows (m <= 24 fits
-    uint8).
-    """
-    tail = 1
-    while tail < lam and comb(m + tail, tail + 1) <= _BRUTE_BLOCK:
-        tail += 1
-    base = bytes(chain.from_iterable(combinations_with_replacement(range(m), tail)))
-    pending = [np.frombuffer(base, dtype=np.uint8).reshape(-1, tail)]
-    while pending:
-        rows = pending.pop()
-        if rows.shape[1] == lam:
-            yield rows
-            continue
-        lens = rows[:, 0].astype(np.intp) + 1
-        ends = np.cumsum(lens)
-        first = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
-        grown = np.column_stack((first.astype(np.uint8), np.repeat(rows, lens, axis=0)))
-        pending.extend(
-            grown[lo : lo + _BRUTE_BLOCK] for lo in range(0, len(grown), _BRUTE_BLOCK)
-        )
-
-
 def _qualifying_supports(
     candidates: Sequence[int], n: int, params: DisjointnessParams
 ) -> set[int]:
     """Supports of every lam-multiset of candidates meeting the quantifier definition.
 
-    The non-decreasing index multisets come from _multiset_rows.  Each row
-    gathers its candidate masks; a row qualifies when every k1 of its
-    entries AND to nothing and every k2 of them OR to the ground set
-    (vacuously when the row has fewer than k1 resp. k2 entries).  The
-    support is the OR of the row's index bits.
+    A multiset is a non-decreasing row of lam candidate indices; it
+    qualifies when every k1 of its entries AND to nothing and every k2 of
+    them OR to the ground set (vacuously when the row has fewer than k1
+    resp. k2 entries).  Both clauses hold for every part of a qualifying
+    row, so rows are grown leftwards and a row is dropped as soon as it
+    fails.  The base rows are the last `tail` columns, every non-decreasing
+    tail-tuple (combinations_with_replacement), with tail as long as they
+    fit in one block of _BRUTE_BLOCK rows; they are checked on all k-subsets
+    of their positions.  A row whose first entry is f then takes each of
+    0..f in front of it, and the grown row is checked only on the k-subsets
+    holding its new position 0, so each k-subset of a full row is checked
+    once.  Rows are checked in blocks of _BRUTE_BLOCK (m <= 24 fits uint8).
+    More than _BRUTE_ROWS checked rows raise GuardError.  The support is the
+    OR of a full row's index bits.
     """
-    lam = params.lam
+    lam, k1, k2 = params.lam, params.k1, params.k2
     ground = full_mask(n)
+    m = len(candidates)
     masks = np.asarray(candidates, dtype=np.min_scalar_type(ground))
-    bits = np.uint32(1) << np.arange(len(candidates), dtype=np.uint32)
+    bits = np.uint32(1) << np.arange(m, dtype=np.uint32)
 
-    def positions(k: int | None) -> np.ndarray | None:
-        # the k-subsets of a row's lam entries, one row of positions each
-        if k is None or k > lam:
+    def positions(width: int, k: int | None, fresh: bool) -> np.ndarray | None:
+        # the k-subsets of a row's width positions, one row of positions
+        # each; when fresh, only those holding position 0
+        if k is None or k > width:
             return None
-        return np.array(list(combinations(range(lam), k)), dtype=np.intp)
+        if fresh:
+            subsets = [(0, *rest) for rest in combinations(range(1, width), k - 1)]
+        else:
+            subsets = list(combinations(range(width), k))
+        return np.array(subsets, dtype=np.intp)
 
-    meets, covers = positions(params.k1), positions(params.k2)
-    supports: set[int] = set()
-    for rows in _multiset_rows(len(candidates), lam):
+    def survivors(
+        rows: np.ndarray, meets: np.ndarray | None, covers: np.ndarray | None
+    ) -> np.ndarray:
+        if meets is None and covers is None:
+            return rows
         sets = masks[rows]
         ok = np.ones(len(rows), dtype=bool)
         if meets is not None:
             ok &= ~np.bitwise_and.reduce(sets[:, meets], axis=2).any(axis=1)
         if covers is not None:
             ok &= (np.bitwise_or.reduce(sets[:, covers], axis=2) == ground).all(axis=1)
-        supports.update(np.bitwise_or.reduce(bits[rows[ok]], axis=1).tolist())
+        return rows[ok]
+
+    tail = 1
+    while tail < lam and comb(m + tail, tail + 1) <= _BRUTE_BLOCK:
+        tail += 1
+    base = bytes(chain.from_iterable(combinations_with_replacement(range(m), tail)))
+    rows = np.frombuffer(base, dtype=np.uint8).reshape(-1, tail)
+    checked = len(rows)
+    pending = [survivors(rows, positions(tail, k1, False), positions(tail, k2, False))]
+    fresh = {}
+    for width in range(tail + 1, lam + 1):
+        fresh[width] = positions(width, k1, True), positions(width, k2, True)
+    supports: set[int] = set()
+    while pending:
+        rows = pending.pop()
+        if not len(rows):
+            continue
+        if rows.shape[1] == lam:
+            supports.update(np.bitwise_or.reduce(bits[rows], axis=1).tolist())
+            continue
+        lens = rows[:, 0].astype(np.intp) + 1
+        ends = np.cumsum(lens)
+        first = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
+        grown = np.column_stack((first.astype(np.uint8), np.repeat(rows, lens, axis=0)))
+        checked += len(grown)
+        if checked > _BRUTE_ROWS:
+            raise GuardError(f"brute-force oracle checked more than {_BRUTE_ROWS} multiset rows")
+        pending.extend(
+            survivors(grown[lo : lo + _BRUTE_BLOCK], *fresh[rows.shape[1] + 1])
+            for lo in range(0, len(grown), _BRUTE_BLOCK)
+        )
     return supports
 
 
@@ -478,6 +498,9 @@ def matching_number_brute(instance: MatchingInstance) -> tuple[int, SubsetFamily
     (every k1 of them intersect in nothing, every k2 of them cover [n],
     vacuously when fewer than k1 resp. k2 entries exist), then the kernel
     sweeps all 2^M subfamilies for the largest one avoiding every support.
+    M = C(n,t) above 24 is a ParameterError, checked before any subset is
+    built; more than _BRUTE_ROWS multiset rows checked is a GuardError,
+    raised before the sweep.
     """
     n, t, params = instance.n, instance.t, instance.params
     m = comb(n, t)

@@ -15,6 +15,7 @@ import frameproof_lab
 from frameproof_lab import _kernels, matching
 from frameproof_lab.core import (
     DisjointnessParams,
+    GuardError,
     ParameterError,
     SubsetFamily,
     enumerate_subsets,
@@ -685,6 +686,10 @@ def _enumeration_cases():
         for k1 in (None, 1, 2, lam + 1):
             for k2 in (None, 1, 2, lam + 1):
                 cases.append((n, t, lam, k1, k2))
+    # rows that grow three columns past the base tail, pruned under each
+    # clause alone and under both
+    for k1, k2 in ((4, None), (None, 4), (4, 4), (2, None)):
+        cases.append((6, 3, 6, k1, k2))
     return cases
 
 
@@ -701,6 +706,7 @@ def test_brute_oracle_shares_no_code_with_the_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the brute-force oracle called the solver's oracle")
 
+    instance = inst(6, 3, 2, 2, 2)
     for name in (
         "_find_violating",
         "find_violating_collection",
@@ -709,7 +715,10 @@ def test_brute_oracle_shares_no_code_with_the_solver(monkeypatch):
         "_max_avoiding",
     ):
         monkeypatch.setattr(matching, name, refuse)
-    value, family = matching_number_brute(inst(6, 3, 2, 2, 2))
+    # nor the per-point count rule the solver compiles
+    for name in ("max_count", "min_count", "feasible", "vacuous"):
+        monkeypatch.setattr(DisjointnessParams, name, property(refuse))
+    value, family = matching_number_brute(instance)
     assert value == len(family) == 10
 
 
@@ -721,6 +730,32 @@ def test_brute_oracle_checks_its_size_before_enumerating(monkeypatch):
     monkeypatch.setattr(matching, "enumerate_subsets", refuse)
     with pytest.raises(ParameterError, match="C\\(n,t\\) <= 24, got 70"):
         matching_number_brute(inst(8, 4, 2, 2, 2))
+
+
+def test_brute_oracle_caps_the_rows_it_checks(monkeypatch):
+    # (6,3,6;4,4) checks 35,148 multiset rows: the 1,540 base rows and the
+    # grown rows that survived each step; the cap falls before the sweep
+    instance = inst(6, 3, 6, 4, 4)
+    monkeypatch.setattr(matching, "_BRUTE_ROWS", 35148)
+    assert matching_number_brute(instance)[0] == 10
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subfamilies swept past the row cap")
+
+    monkeypatch.setattr(matching, "_BRUTE_ROWS", 35147)
+    monkeypatch.setattr(_kernels, "max_subfamily_avoiding", refuse)
+    with pytest.raises(GuardError, match="more than 35147 multiset rows"):
+        matching_number_brute(instance)
+
+
+def test_brute_oracle_prunes_a_large_lam():
+    # 30 members of [5] choose 2 with every two disjoint and every two
+    # covering [5]: no such collection, so all C(5,2) = 10 pairs may stay;
+    # unpruned this walks C(39,30), about 2.1e8 rows
+    instance = inst(5, 2, 30, 2, 2)
+    value, family = matching_number_brute(instance)
+    assert value == len(family) == 10
+    assert matching_number_exact(instance).value == value
 
 
 # brute-force m at the six k = 7 cells with C(7,t) = 21 candidates; the
