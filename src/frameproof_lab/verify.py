@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -109,7 +109,8 @@ def _check_guards(members: int, c: int, guards: Guards | None) -> None:
 
 @dataclass(frozen=True)
 class Code:
-    """An ordered list of distinct length-n words over the alphabet 1..q."""
+    """An ordered list of distinct length-n words over the alphabet 1..q;
+    symbols are integers."""
 
     q: int
     n: int
@@ -120,21 +121,45 @@ class Code:
             raise ParameterError(f"alphabet size q={self.q} must be >= 2")
         if self.n < 1:
             raise ParameterError(f"word length n={self.n} must be >= 1")
+        # The whole tuple is checked at once, at C speed: its word lengths,
+        # its distinct symbols (a few dozen in the constructions) and its
+        # distinct words.  A non-int equal to an earlier int symbol (2.0
+        # after a 2) is the same set member, so it passes as that int, which
+        # it equals and converts to exactly.  Only a faulty code is walked
+        # word by word, to name its first fault.
+        try:
+            valid = (
+                set(map(len, self.words)) <= {self.n}
+                and _in_alphabet(set().union(*self.words), self.q)
+                and len(set(self.words)) == len(self.words)
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> NoReturn:
         seen = set()
         for i, w in enumerate(self.words):
             if len(w) != self.n:
                 raise ParameterError(f"word {i} has length {len(w)}, expected {self.n}")
-            if any(not 1 <= x <= self.q for x in w):
+            if not _in_alphabet(w, self.q):
                 raise ParameterError(f"word {i} has symbols outside [1..{self.q}]")
             if w in seen:
                 raise ParameterError(f"word {i} duplicates an earlier word")
             seen.add(w)
+        # the words passed one by one but not as a whole: not a re-iterable,
+        # sized sequence (a generator, say)
+        raise TypeError(f"code words must be a sequence of words, got {type(self.words).__name__}")
 
     def __len__(self) -> int:
         return len(self.words)
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.int64).reshape(len(self.words), self.n)
+        try:
+            return np.array(self.words, dtype=np.int64).reshape(len(self.words), self.n)
+        except OverflowError:
+            raise ParameterError("symbols exceed the 64-bit integer range") from None
 
     @cached_property
     def min_distance(self) -> int:
@@ -144,6 +169,12 @@ class Code:
 
     def to_json(self) -> dict:
         return {"q": self.q, "n": self.n, "words": [list(w) for w in self.words]}
+
+
+def _in_alphabet(symbols: Iterable[object], q: int) -> bool:
+    """Every symbol is an integer in 1..q; a bound test, so its cost does
+    not grow with q."""
+    return all(isinstance(x, (int, np.integer)) and 1 <= x <= q for x in symbols)
 
 
 def code_from_json(obj: object) -> Code:

@@ -262,6 +262,7 @@ MALFORMED = [
      "--out", "{tmp}/missing/x.json"),
     ("verify", "--family", "{data}/fano.json", "--c", "2", "--s", "1", "--out", "{tmp}"),
     ("verify", "--code", "{tmp}/long.json", "--c", "2", "--s", "1", "--critical"),
+    ("verify", "--code", "{tmp}/huge.json", "--c", "2", "--s", "1"),
     ("verify", "--family", "{tmp}/schema.json", "--c", "3", "--s", "3"),
     ("matching", "--n", "4", "--t", "2", "--lambda", "2", "--k1", "2", "--k2", "2",
      "--budget", "-3"),
@@ -303,6 +304,8 @@ def test_malformed_invocations_exit_2(capsys, tmp_path):
     (tmp_path / "schema.json").write_text(json.dumps({"n": 4, "sets": [[0]]}))
     words = [[1] * 65, [2] * 65, [1] * 64 + [2]]
     (tmp_path / "long.json").write_text(json.dumps({"q": 2, "n": 65, "words": words}))
+    huge = {"q": 2**70, "n": 2, "words": [[2**70, 1], [1, 1]]}
+    (tmp_path / "huge.json").write_text(json.dumps(huge))
     for argv in MALFORMED:
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path, data=DATA) for arg in argv))
         assert code == 2 and out == "", argv

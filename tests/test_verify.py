@@ -1,10 +1,14 @@
 import random
+import re
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from frameproof_lab.core import (
     DisjointnessParams,
+    FormatError,
     FrameproofParams,
     GuardError,
     IndexMultiset,
@@ -286,6 +290,119 @@ def test_code_validation():
         Code(2, 2, ((1, 1), (1, 1)))
     with pytest.raises(ParameterError):
         Code(2, 2, ((1, 3),))
+    assert len(Code(2, 3, ())) == 0
+    with pytest.raises(TypeError):
+        Code(2, 2, ([1, 2], [2, 1]))
+    with pytest.raises(TypeError, match="sequence of words"):
+        Code(2, 2, (w for w in ((1, 2), (2, 1))))
+
+
+@pytest.mark.parametrize(
+    "q, n, words, message",
+    [
+        (3, 2, ((1, 2), (1, 2, 3)), "word 1 has length 3, expected 2"),
+        (3, 2, ((1, 2), (0, 1)), "word 1 has symbols outside [1..3]"),
+        (3, 2, ((1, 2), (4, 1)), "word 1 has symbols outside [1..3]"),
+        (3, 2, ((1, 2), (2, 1), (1, 2)), "word 2 duplicates an earlier word"),
+        # a non-integer symbol is outside the alphabet; 2.5 used to validate
+        # and then truncate to 2, so that word 0 became word 2
+        (3, 2, ((2.5, 1), (1, 1), (2, 2)), "word 0 has symbols outside [1..3]"),
+        (3, 2, ((1, "2"), (1, 1)), "word 0 has symbols outside [1..3]"),
+        # the first faulty word is named, whatever its fault and the later ones
+        (3, 2, ((1, 2), (0, 1), (1, 2, 3)), "word 1 has symbols outside [1..3]"),
+        (3, 2, ((1,), (1, 2), (1, 2), (9, 9)), "word 0 has length 1, expected 2"),
+        (3, 2, ((1, 2), (1, 2), (0, 0)), "word 1 duplicates an earlier word"),
+        (3, 2, ((1, 2), (2, 2), (1, 2, 3), (1, 2)), "word 2 has length 3, expected 2"),
+        # within a word: length, then symbols, then duplication
+        (3, 2, ((1, 2), (0,)), "word 1 has length 1, expected 2"),
+        (3, 2, ((0, 2), (0, 2)), "word 0 has symbols outside [1..3]"),
+    ],
+)
+def test_code_fault_messages(q, n, words, message):
+    with pytest.raises(ParameterError) as exc:
+        Code(q, n, words)
+    assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        code_from_json({"q": q, "n": n, "words": [list(w) for w in words]})
+    # JSON refuses a non-integer symbol before it builds the Code
+    assert str(exc.value) in (message, f"words[{message.split()[1]}] must be a list of integers")
+
+
+def test_non_integer_symbol_code_is_refused_before_the_search():
+    with pytest.raises(ParameterError, match=r"word 0 has symbols outside \[1\.\.3\]"):
+        find_focal_code(Code(3, 2, ((2.5, 1), (1, 1), (2, 2))), fp(2, 1))
+
+
+def _ref_code_fault(q, n, words):
+    """The per-word check Code ran before the whole-tuple check, with the
+    integer-symbol rule: the first faulty word's message, or None."""
+    seen = set()
+    for i, w in enumerate(words):
+        if len(w) != n:
+            return f"word {i} has length {len(w)}, expected {n}"
+        if any(not (isinstance(x, (int, np.integer)) and 1 <= x <= q) for x in w):
+            return f"word {i} has symbols outside [1..{q}]"
+        if w in seen:
+            return f"word {i} duplicates an earlier word"
+        seen.add(w)
+    return None
+
+
+def _inject_fault(rng, q, n, words):
+    i = rng.randrange(len(words))
+    w = list(words[i])
+    kind = rng.randrange(6) if w else 0
+    at = rng.randrange(len(w)) if w else 0
+    if kind == 0:
+        w = w + [rng.randint(1, q)] if rng.random() < 0.5 or len(w) < 2 else w[:-1]
+    elif kind == 1:
+        w[at] = rng.choice((0, -1, q + 1, q + 7, 2**70))
+    elif kind == 2:
+        w[at] = rng.choice((0.5, 1.5, q - 0.5, "1", None))
+    elif kind == 3:
+        w[at] = np.int64(rng.randint(1, q))  # an integer: no fault
+    elif kind == 4:
+        w = list(words[rng.randrange(len(words))])  # may duplicate another word
+    else:
+        w[at] = rng.randint(1, q)  # may duplicate another word
+    return words[:i] + [tuple(w)] + words[i + 1 :]
+
+
+def test_code_validation_matches_the_per_word_reference():
+    rng = random.Random(3030)
+    verdicts = Counter()
+    for _ in range(1500):
+        q, n = rng.randint(2, 4), rng.randint(1, 4)
+        words = [tuple(rng.randint(1, q) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        words = list(dict.fromkeys(words))
+        for _ in range(rng.randint(0, 3)):
+            words = _inject_fault(rng, q, n, words)
+        expected = _ref_code_fault(q, n, words)
+        if expected is None:
+            assert Code(q, n, tuple(words)).words == tuple(words)
+        else:
+            with pytest.raises(ParameterError) as exc:
+                Code(q, n, tuple(words))
+            assert str(exc.value) == expected
+        verdicts[expected and re.sub(r"\d+", "#", expected)] += 1
+    # every verdict is exercised: valid, length, symbols, duplicate
+    assert min(verdicts.values()) >= 100 and len(verdicts) == 4, verdicts
+
+
+def test_code_validation_does_not_scale_with_q():
+    tracemalloc.start()
+    try:
+        code = Code(2**40, 2, ((1, 2**40), (5, 7)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 2 and peak < 1 << 20
+
+
+def test_symbols_beyond_64_bits_are_a_parameter_error():
+    code = Code(2**70, 2, ((2**70, 1), (1, 1)))
+    with pytest.raises(ParameterError, match="64-bit"):
+        find_focal_code(code, fp(2, 1))
 
 
 def test_code_search_matches_agreement_set_family():
