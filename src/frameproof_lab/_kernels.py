@@ -17,6 +17,8 @@ already do.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64))
@@ -82,17 +84,31 @@ def cover_pair_scan(masks: np.ndarray, target: int) -> tuple[int, int] | None:
 
 
 def _minimal_antichain(supports: np.ndarray) -> np.ndarray:
-    """The inclusion-minimal members of a sorted array of distinct supports."""
+    """The inclusion-minimal members of a sorted array of distinct supports.
+
+    Supports are taken level by level in increasing popcount.  Distinct
+    supports of one size never contain each other, so a support is minimal
+    iff no minimal support of a lower level lies inside it; each level is
+    tested against those alone, in row blocks of about 1 M cells.
+    """
     if supports.size < 2:
         return supports
-    keep = np.ones(supports.shape, dtype=bool)
-    # pairwise containment test in row blocks of about 1 M cells
-    step = max(1, (1 << 20) // supports.size)
-    for lo in range(0, supports.size, step):
-        rows = supports[lo : lo + step, None]
-        inside = ((rows & supports) == supports) & (rows != supports)
-        keep[lo : lo + step] = ~inside.any(axis=1)
-    return supports[keep]
+    sizes = np.bitwise_count(supports)
+    # a stable sort of the uint8 sizes is a radix sort
+    ranked = supports[np.argsort(sizes, kind="stable")]
+    minimal = np.empty_like(supports)
+    kept = lo = 0
+    for hi in accumulate(np.bincount(sizes).tolist()):
+        below = minimal[:kept]
+        step = max(1, (1 << 20) // max(1, kept))
+        for start in range(lo, hi, step):
+            rows = ranked[start : min(start + step, hi)]
+            if below.size:
+                rows = rows[((rows[:, None] & below) != below).all(axis=1)]
+            minimal[kept : kept + rows.size] = rows
+            kept += rows.size
+        lo = hi
+    return np.sort(minimal[:kept])
 
 
 def max_subfamily_avoiding(supports: list[int] | np.ndarray, m: int) -> tuple[int, int]:

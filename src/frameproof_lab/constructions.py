@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .matching import MatchingInstance, matching_number_exact
 from .verify import Code, FocalWitness, Guards, find_focal_hypergraph
 
 MAX_CODEWORDS = 1 << 20
+# most bits of a faithful agreement-table chunk
+_CHUNK_BITS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +235,11 @@ def greedy_packing(
     elif seed is not None:
         raise ParameterError("a seed requires the seeded-random order")
     cands = np.array(candidates, dtype=np.uint64)[_scan_order(len(candidates), seed)]
-    accepted: list[int] = []
-    for pos, later in _forward_scan(len(cands)):
-        accepted.append(int(cands[pos]))
-        later &= np.bitwise_count(cands[pos + 1 :] & cands[pos]) < t
+
+    def meets_below_t(block: np.uint64, later: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(later & block) < t
+
+    accepted = _forward_scan(cands, meets_below_t).tolist()
     family = SubsetFamily(n, tuple(accepted), k)
     return Packing(family, t, _design_flag(family, k, t))
 
@@ -368,15 +371,27 @@ def _scan_order(size: int, seed: int | None, budget: int | None = None) -> list[
     return order[:budget]
 
 
-def _forward_scan(count: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (pos, later) for each candidate still alive; the caller clears, in
-    place in the alive flags after pos, the later candidates that pos rules out."""
-    alive = np.ones(count, dtype=bool)
-    pos = 0
-    while pos < count:
-        later = alive[pos + 1 :]
-        yield pos, later
-        pos = pos + 1 + int(later.argmax()) if later.any() else count
+def _forward_scan(
+    candidates: np.ndarray, rule: Callable[[np.generic, np.ndarray], np.ndarray | None]
+) -> np.ndarray:
+    """The candidates a greedy accepts, in scan order.
+
+    The candidates still alive are kept as one compacted array.  The first
+    of them goes to rule(head, later) with the array of the later alive
+    candidates; the rule returns which of them stay alive once head is
+    accepted, or None to refuse head, which then clears nothing.
+    """
+    alive = candidates
+    accepted = []
+    while alive.size:
+        head, later = alive[0], alive[1:]
+        stay = rule(head, later)
+        if stay is None:
+            alive = later
+        else:
+            accepted.append(head)
+            alive = later[stay]
+    return np.array(accepted, dtype=candidates.dtype)
 
 
 def matching_complement_pattern(k: int, c: int, s: int) -> SubsetFamily:
@@ -422,20 +437,27 @@ def induced_packing_family(
     cands = np.array(candidates, dtype=np.uint64)[_scan_order(len(candidates), seed, budget)]
     copies: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     vmasks: list[int] = []
-    for pos, later in _forward_scan(len(cands)):
-        vmask = int(cands[pos])
+
+    def embed(head: np.uint64, later: np.ndarray) -> np.ndarray | None:
+        vmask = int(head)
         overlaps = {o for w in vmasks if (o := vmask & w).bit_count() == t}
         for verts in permutations(points_from_mask(vmask)):
             edges = sorted(sum(1 << (verts[p - 1] - 1) for p in e) for e in edge_points)
             if overlaps.isdisjoint(edges):
                 break
         else:
-            continue
+            return None
         copies.append((verts, tuple(edges)))
         vmasks.append(vmask)
-        inter = cands[pos + 1 :] & cands[pos]
+        inter = later & head
         size = np.bitwise_count(inter)
-        later &= (size < t) | ((size == t) & ~np.isin(inter, np.array(edges, dtype=np.uint64)))
+        # the sorted edges behind a 0 that no t-point overlap equals: an
+        # overlap is an edge iff it equals the last of them not above it
+        floor = np.array([0, *edges], dtype=np.uint64)
+        is_edge = floor[np.searchsorted(floor, inter, side="right") - 1] == inter
+        return (size < t) | ((size == t) & ~is_edge)
+
+    _forward_scan(cands, embed)
     packing = InducedPacking(k, t, pattern, tuple(copies))
     packing.validate(n)
     return packing, SubsetFamily(n, tuple(vmasks), k)
@@ -539,20 +561,37 @@ def faithful_code_family(
     # the agreement sets two accepted words may have
     keep = np.bitwise_count(np.arange(1 << n)) <= t
     keep[list(pattern.sets)] = False
-    # the candidates in scan order, column-major, as 0-based symbols
+    # each candidate, in scan order, as its 0-based symbols packed b bits
+    # apiece, coordinate i at bit i * b
+    b = (q - 1).bit_length()
+    key_type = np.min_scalar_type((1 << n * b) - 1)
     index = np.array(_scan_order(size, seed, budget), dtype=np.int64)
-    cols = np.empty((n, len(index)), dtype=np.min_scalar_type(q - 1))
+    keys = np.zeros(len(index), dtype=key_type)
     for i in range(n - 1, -1, -1):
-        index, cols[i] = np.divmod(index, q)
+        index, symbols = np.divmod(index, q)
+        keys |= symbols.astype(key_type) << i * b
+    # two keys agree on coordinate i where bits i * b.. of their XOR are 0;
+    # the XOR is read in chunks of at most 12 bits (one coordinate when
+    # b > 12), each with a table from its chunk to the agreement bits
     mask_type = np.min_scalar_type((1 << n) - 1)
-    accepted = []
-    for pos, later in _forward_scan(cols.shape[1]):
-        accepted.append(pos)
-        # bit i of a later candidate's mask: it agrees with pos on coordinate i
-        masks = (cols[0, pos + 1 :] == cols[0, pos]).astype(mask_type)
-        for i in range(1, n):
-            masks |= (cols[i, pos + 1 :] == cols[i, pos]).astype(mask_type) << i
-        later &= keep[masks]
-    # widened first: symbol q = 256 does not fit an 8-bit column
-    words = cols[:, accepted].T.astype(np.int64) + 1
+    field = (1 << b) - 1
+    per = max(1, _CHUNK_BITS // b)
+    chunks = []
+    for lo in range(0, n, per):
+        width = min(per, n - lo) * b
+        chunk = np.arange(1 << width)
+        table = np.zeros(1 << width, dtype=mask_type)
+        for i in range(lo, min(lo + per, n)):
+            table |= (((chunk >> (i - lo) * b) & field) == 0).astype(mask_type) << i
+        chunks.append((lo * b, (1 << width) - 1, table))
+
+    def faithful_to(key: np.generic, later: np.ndarray) -> np.ndarray:
+        diff = later ^ key
+        masks = np.zeros(len(later), dtype=mask_type)
+        for shift, bits, table in chunks:
+            masks |= table[(diff >> shift) & bits]
+        return keep[masks]
+
+    accepted = _forward_scan(keys, faithful_to).astype(np.int64)
+    words = ((accepted[:, None] >> np.arange(n) * b) & field) + 1
     return Code(q, n, tuple(map(tuple, words.tolist())))

@@ -16,7 +16,8 @@ bound, tightened by Katona's cyclic-order averaging, C(n,t) * alpha / n,
 where alpha is the most of the n cyclic intervals a family can hold, found
 by the solver's own search over the n interval slots.  When the node budget
 runs out and one of the two pierced stars of the closed lower bound reaches
-the cap, that star is the certified optimum.  The count-DFS violation oracle
+the cap, that star is the certified optimum; a star larger than the
+search's best is returned as the lower bound.  The count-DFS violation oracle
 stays as the exact-certificate re-check, and a brute-force sweep over all
 subfamilies doubles as an independent cross-check on tiny instances.
 """
@@ -342,8 +343,10 @@ def matching_number_exact(
     m <= C(n,t) * alpha / n for 1 <= t < n.  budget caps the
     branch-and-bound nodes (neither the compile nor alpha is counted), and
     explored never exceeds it.  Running out downgrades the status to
-    "lower-only", unless a pierced star (_pierced_stars) has exactly cap
-    members: that star is then returned as "exact".
+    "lower-only" and returns the larger of the two pierced stars
+    (_pierced_stars) when it beats the search's best family; a star of
+    exactly cap members is returned as "exact".  A returned star is
+    re-checked by the violation oracle.
     """
     if budget is not None and budget < 0:
         raise ParameterError(f"node budget {budget} must be >= 0")
@@ -379,15 +382,17 @@ def matching_number_exact(
     best, explored, exhausted = _max_avoiding(range(total), registered, cap, budget)
     sets = tuple(candidates[i] for i in best)
     status = "lower-only" if exhausted else "exact"
+    from_star = False
     if exhausted and two_sided:
-        # a pierced star of size cap closes the sandwich
-        for star in _pierced_stars(n, t, params, candidates):
-            if len(star) == cap:
-                sets, status = star, "exact"
-                break
+        # the larger pierced star (s1 side on a tie) replaces a smaller
+        # search best, and one of size cap closes the sandwich
+        star = max(_pierced_stars(n, t, params, candidates), key=len)
+        if len(star) > len(sets):
+            sets, from_star = star, True
+            status = "exact" if len(star) == cap else "lower-only"
     family = SubsetFamily(n, sets, t)
-    if status == "exact" and find_violating_collection(family, params) is not None:
-        raise AssertionError("exact matching family contains a violating collection")
+    if (status == "exact" or from_star) and find_violating_collection(family, params) is not None:
+        raise AssertionError(f"{status} matching family contains a violating collection")
     return MatchingCertificate(len(sets), family, status, explored)
 
 

@@ -6,6 +6,7 @@ from itertools import permutations, product
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frameproof_lab import _kernels, constructions
@@ -452,7 +453,7 @@ def _ref_faithful(n, c, s, q, seed, budget):
 _FAITHFUL_RUNS = {
     (10, 2, 1, 2): [(None, None), (11, None), (0, 300)],  # masks wider than 8 bits
     (2, 2, 1, 257): [(None, 400), (11, 400)],  # symbols wider than 8 bits
-    (2, 2, 1, 256): [(None, 400), (11, 400)],  # symbol 256 from an 8-bit column
+    (2, 2, 1, 256): [(None, 400), (11, 400)],  # symbol 256 from an 8-bit field
     (6, 3, 2, 4): [(1, 1200)],
 }
 
@@ -467,6 +468,51 @@ def test_faithful_matches_reference_greedy(ncsq):
     for seed, budget in runs:
         code = faithful_code_family(n, c, s, q, seed=seed, budget=budget)
         assert list(code.words) == _ref_faithful(n, c, s, q, seed, budget)
+
+
+def _ref_faithful_columns(n, c, s, q, seed, budget):
+    """The greedy over an n x M array of 0-based symbols: each accepted word
+    builds its agreement masks with every later candidate, dead ones
+    included, from n column compares, and clears alive flags in place."""
+    pattern = matching_complement_pattern(n, c, s)
+    keep = np.bitwise_count(np.arange(1 << n)) <= pattern.uniform_k
+    keep[list(pattern.sets)] = False
+    index = np.array(constructions._scan_order(q**n, seed, budget), dtype=np.int64)
+    cols = np.empty((n, len(index)), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        index, cols[i] = np.divmod(index, q)
+    alive = np.ones(len(index), dtype=bool)
+    accepted = []
+    for pos in range(len(index)):
+        if not alive[pos]:
+            continue
+        accepted.append(pos)
+        masks = np.zeros(len(index) - pos - 1, dtype=np.int64)
+        for i in range(n):
+            masks |= (cols[i, pos + 1 :] == cols[i, pos]).astype(np.int64) << i
+        alive[pos + 1 :] &= keep[masks]
+    return [tuple(int(a) + 1 for a in cols[:, pos]) for pos in accepted]
+
+
+# (n, c, s, q): (seed, budget) runs where the packed agreement lookup has
+# symbols of a non-power-of-two alphabet, two chunks, 9-bit symbols (one
+# coordinate per chunk) or one 13-bit coordinate
+_FAITHFUL_CHUNK_RUNS = {
+    (5, 3, 2, 3): [(None, None), (0, None), (11, None)],
+    (7, 5, 3, 3): [(None, None), (5, None)],
+    (7, 4, 3, 4): [(None, 3000), (3, 3000)],
+    (7, 3, 2, 4): [(1, None)],
+    (2, 2, 1, 257): [(None, None), (11, None)],
+    (2, 3, 2, 257): [(2, 3000)],
+    (1, 2, 1, 5000): [(None, None), (4, None), (4, 700)],
+}
+
+
+@pytest.mark.parametrize("ncsq", sorted(_FAITHFUL_CHUNK_RUNS))
+def test_faithful_matches_the_column_compare_greedy(ncsq):
+    for seed, budget in _FAITHFUL_CHUNK_RUNS[ncsq]:
+        code = faithful_code_family(*ncsq, seed=seed, budget=budget)
+        assert list(code.words) == _ref_faithful_columns(*ncsq, seed, budget)
 
 
 def _ref_induced(k, c, s, n, seed, budget):

@@ -199,3 +199,34 @@ def test_kernels_match_reference_on_random_instances():
         m = rng.randint(1, 12)
         supports = [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, 20))]
         assert kernels.max_subfamily_avoiding(supports, m) == _ref_sweep(supports, m)
+
+
+def _ref_minimal_antichain(supports):
+    # the pairwise containment test the level-wise walk replaced
+    if supports.size < 2:
+        return supports
+    keep = np.ones(supports.shape, dtype=bool)
+    step = max(1, (1 << 20) // supports.size)
+    for lo in range(0, supports.size, step):
+        rows = supports[lo : lo + step, None]
+        inside = ((rows & supports) == supports) & (rows != supports)
+        keep[lo : lo + step] = ~inside.any(axis=1)
+    return supports[keep]
+
+
+def test_minimal_antichain_matches_the_pairwise_test():
+    rng = random.Random(2024)
+    cases = [[], [5], [1, 3], [3, 5, 6], [0b11 << i for i in range(23)]]
+    for _ in range(60):
+        m = rng.randint(1, 24)
+        count = rng.randint(0, 400)
+        # bias toward small supports so that containments are common
+        cases.append([
+            sum(1 << b for b in rng.sample(range(m), rng.randint(1, min(m, 6))))
+            for _ in range(count)
+        ])
+    for case in cases:
+        supports = np.array(sorted(set(case)), dtype=np.uint32)
+        got = kernels._minimal_antichain(supports)
+        assert got.dtype == supports.dtype
+        assert got.tolist() == _ref_minimal_antichain(supports).tolist()

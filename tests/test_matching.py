@@ -141,7 +141,10 @@ def test_lower_only_explored_equals_budget():
         cert = matching_number_exact(inst(7, 2, 3, 2, 4), budget=budget)
         assert cert.status == "lower-only"
         assert cert.explored == budget
-    assert matching_number_exact(inst(7, 2, 3, 2, 4), budget=0).value == 0
+    # the search holds nothing at budget 0, so the 11-member s1 star stands
+    cert = matching_number_exact(inst(7, 2, 3, 2, 4), budget=0)
+    assert (cert.status, cert.value) == ("lower-only", 11)
+    assert cert.family.sets == star_family(7, 2, 3, 1).sets
 
 
 def test_negative_budget_rejected():
@@ -758,6 +761,14 @@ def test_brute_oracle_prunes_a_large_lam():
     assert matching_number_exact(instance).value == value
 
 
+def test_brute_oracle_on_a_vacuous_cell():
+    # with no clause every 8-multiset of the 20 triples of [6] qualifies:
+    # 263,949 supports whose minimal antichain is the 20 singletons, so no
+    # member may stay
+    value, family = matching_number_brute(inst(6, 3, 8, None, None))
+    assert value == len(family) == 0
+
+
 # brute-force m at the six k = 7 cells with C(7,t) = 21 candidates; the
 # solver at node budget 2500 proves all but (4,1,7), where it finds the
 # value without closing the search.  There t = 2, lam = 3 and k1 = 2: graphs
@@ -918,6 +929,18 @@ def test_m_table_at_budget_2500():
         exact += 1
     assert exact == 86
     assert digest.hexdigest() == EXACT_CELLS_DIGEST
+
+
+def test_lower_only_keeps_a_larger_clean_star():
+    # (c,s,k) = (6,1,10) is m(10,2,4;2,6): the search best at budget 2500
+    # has 21 members, the s1 pierced star 24
+    n, t, lam, k1, k2 = _cell_args(6, 1, 10)
+    params = DisjointnessParams(lam, k1, k2)
+    s1_star, _ = _pierced_stars(n, t, params, enumerate_subsets(n, t))
+    cert = matching_number_exact(inst(n, t, lam, k1, k2), budget=2500)
+    assert (cert.status, cert.value, cert.explored) == ("lower-only", 24, 2500)
+    assert cert.family.sets == s1_star
+    assert find_violating_collection(cert.family, params) is None
 
 
 def test_s2_star_closes_5_2_7():
