@@ -11,7 +11,8 @@ where it is judged, and two members agree exactly where their rows are
 equal.  The own-subsequence census reads the same array.  A focus is first
 refuted by counting where it can be: c coalition members cover at most
 c * max_B |A & B| incidences of the focus A, and a cover needs s * |A|; all
-foci are counted a block at a time, so an early witness ends the scan.
+foci are counted a block at a time, one compare over all columns per block,
+so an early witness ends the scan.
 This is the paper's pigeonhole and distance bound (c(n-d) < s*n on a code),
 so a code it certifies is decided without any search.  A focus that
 survives gets one view, the other members' agreement masks of its k points
@@ -46,7 +47,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ from .core import (
     points_from_mask,
 )
 
-# cells per block of the all-foci agreement count
+# cells of the (columns, foci, members) compare per block of the all-foci count
 _FOCUS_BLOCK = 1 << 18
 
 
@@ -290,14 +291,23 @@ def _search_cover(
     points still short of more than j covers, and taking mask mv maps planes
     (a, b) = (j, j + 1) to a & ~mv | b & mv.  A slot with a point short of
     more covers than slots remain is pruned, so the last slot only needs a
-    mask containing plane 0.  States that cannot complete are memoized on
-    (slot, bound, planes).
+    mask containing plane 0.  A state is also pruned by capacity: the plane
+    popcounts sum to the total deficit, one mask lowers it by at most its
+    own popcount, and every mask still to be taken has index at most
+    `bound`, so slot + 1 slots lower it by at most (slot + 1) times the
+    largest popcount among masks[0..bound].  States that cannot complete
+    are memoized on (slot, bound, planes).
     """
     out = [0] * c
     memo: set[tuple[int, int, tuple[int, ...]]] = set()
+    # widest[v + 1] is the largest popcount among masks[0..v]; an empty mask
+    # list starts at bound -1
+    widest = [0, *accumulate((m.bit_count() for m in masks), max)]
 
     def dfs(slot: int, bound: int, need: tuple[int, ...]) -> bool:
         if slot + 1 < s and need[slot + 1]:
+            return False
+        if sum(p.bit_count() for p in need) > (slot + 1) * widest[bound + 1]:
             return False
         key = (slot, bound, need)
         if key in memo:
@@ -336,21 +346,23 @@ def _scan_array(obj: SubsetFamily | Code) -> np.ndarray:
 def _surviving_foci(rows: np.ndarray, params: FrameproofParams) -> Iterator[int]:
     """The foci that the counting bound does not refute, in index order.
 
-    Agreements are counted column by column for a block of foci at a time,
-    about _FOCUS_BLOCK cells, so a witness at an early focus ends the scan
-    before the later blocks are counted.
+    A block of foci is counted with one compare of every column at once:
+    the (columns, foci, members) equality array is about _FOCUS_BLOCK cells
+    (a block is at least one focus) and is summed over its leading column
+    axis.  Only equality is read, so the cost does not depend on the
+    alphabet.  A witness at an early focus ends the scan before the later
+    blocks are counted.
     """
-    size = rows.shape[0]
+    size, n = rows.shape
     cols = np.ascontiguousarray(rows.T)
     need = params.s * (rows > 0).sum(axis=1)
-    step = max(1, _FOCUS_BLOCK // size)
+    step = max(1, _FOCUS_BLOCK // (size * n))
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         # counts are at most n <= 64
-        counts = np.zeros((hi - lo, size), dtype=np.uint8)
-        for col in cols:
-            counts += col[lo:hi, None] == col
-        counts[np.arange(hi - lo), np.arange(lo, hi)] = 0
+        counts = (cols[:, lo:hi, None] == cols[:, None, :]).sum(axis=0, dtype=np.uint8)
+        # focus lo + i sits at flat cell i * size + lo + i of its block
+        counts.reshape(-1)[lo :: size + 1][: hi - lo] = 0
         cover = params.c * counts.max(axis=1).astype(np.int64)
         yield from (lo + np.flatnonzero(need[lo:hi] <= cover)).tolist()
 

@@ -1,3 +1,9 @@
+import pytest
+
+# the shared property suites check with assert statements: pytest rewrites
+# them into explicit raises, which python -O keeps
+pytest.register_assert_rewrite("property_suites")
+
 ACCEPTANCE_LINES: list[str] = []
 
 

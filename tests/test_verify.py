@@ -739,6 +739,68 @@ def test_search_cover_is_the_colex_least_cover():
     assert min(seen.values()) >= 40, seen
 
 
+def _ref_search_cover(masks, c, s, k, distinct):
+    """The cover search without the capacity prune: the same DFS, deficit
+    planes and memo, pruned only by a point short of more covers than slots
+    remain."""
+    out = [0] * c
+    memo = set()
+
+    def dfs(slot, bound, need):
+        if slot + 1 < s and need[slot + 1]:
+            return False
+        key = (slot, bound, need)
+        if key in memo:
+            return False
+        if slot == 0:
+            for v in range(bound + 1):
+                if masks[v] & need[0] == need[0]:
+                    out[0] = v
+                    return True
+        else:
+            below = need[1:] + (0,)
+            for v in range(slot if distinct else 0, bound + 1):
+                mv = masks[v]
+                out[slot] = v
+                taken = tuple(a & ~mv | b & mv for a, b in zip(need, below))
+                if dfs(slot - 1, v - 1 if distinct else v, taken):
+                    return True
+        memo.add(key)
+        return False
+
+    return tuple(out) if dfs(c - 1, len(masks) - 1, ((1 << k) - 1,) * s) else None
+
+
+def test_capacity_prune_keeps_the_colex_least_cover():
+    # longer mask lists than the brute oracle affords, narrow and wide masks,
+    # s from 1 to 3, both variants: the capacity prune only cuts states that
+    # cannot complete, so the search returns the unpruned search's cover
+    rng = random.Random(6061)
+    seen = Counter()
+    for trial in range(1200):
+        k = rng.randint(0, 10)
+        s = rng.randint(1, 3)
+        c = rng.randint(s + 1, 6)
+        size = rng.choice((0, rng.randint(1, c), rng.randint(1, 40), rng.randint(1, 40)))
+        width = rng.randint(0, k)
+        masks = []
+        for _ in range(size):
+            if rng.random() < 0.1:
+                masks.append(0)
+            else:
+                bits = rng.sample(range(k), rng.randint(0, width))
+                masks.append(sum(1 << b for b in bits))
+        for distinct in (False, True):
+            got = _search_cover(masks, c, s, k, distinct)
+            assert got == _ref_search_cover(masks, c, s, k, distinct), (masks, c, s, k, distinct)
+            seen["covered" if got else "uncovered"] += 1
+            seen[f"s = {s}"] += 1
+            seen["empty list"] += size == 0
+            seen["zero mask"] += 0 in masks
+            seen["distinct" if distinct else "repeatable"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_large_rs_witness_at_3_1():
     # 4095 masks per focus: both variants find the same coalition at focus 0
     code = rs_code(8, 8, 4)
@@ -1066,9 +1128,10 @@ def test_witness_maps_back_across_the_focus():
 
 
 def test_focus_blocks_give_the_default_witness(monkeypatch):
-    # the all-foci count runs over blocks of foci: blocks of 1, 2, 3 and 7
-    # rows refute the foci of the default block and give its witness, also
-    # when the witness focus lies past the first block
+    # the all-foci count runs over blocks of foci, _FOCUS_BLOCK counting the
+    # cells of a block's (columns, foci, members) compare: blocks of 1, 2, 3
+    # and 7 foci refute the foci of the default block and give its witness,
+    # also when the witness focus lies past the first block
     import frameproof_lab.verify as verify
 
     rng = random.Random(1818)
@@ -1093,7 +1156,7 @@ def test_focus_blocks_give_the_default_witness(monkeypatch):
             want_json = want and want.to_json()
             kept = list(_surviving_foci(_scan_array(obj), params))
             for rows in (1, 2, 3, 7):
-                monkeypatch.setattr(verify, "_FOCUS_BLOCK", rows * len(obj))
+                monkeypatch.setattr(verify, "_FOCUS_BLOCK", rows * len(obj) * obj.n)
                 assert list(_surviving_foci(_scan_array(obj), params)) == kept
                 got = search(obj, params)
                 assert (got and got.to_json()) == want_json, (obj, params, distinct, rows)
@@ -1102,6 +1165,65 @@ def test_focus_blocks_give_the_default_witness(monkeypatch):
             naive = naive_find_focal(obj, params, distinct)
             assert (naive and naive.focus) == (want and want.focus), (obj, params, distinct)
     assert later >= 200, later
+
+
+def _ref_surviving_foci(obj, params):
+    """Per-pair count straight from the sets or words: focus x survives iff
+    s * k_x <= c * max over y != x of the agreements of x and y."""
+    if isinstance(obj, SubsetFamily):
+        points = [a.bit_count() for a in obj.sets]
+        agree = [[(a & b).bit_count() for b in obj.sets] for a in obj.sets]
+    else:
+        points = [obj.n] * len(obj)
+        agree = [[sum(x == y for x, y in zip(u, v)) for v in obj.words] for u in obj.words]
+    size = len(obj)
+    return [
+        x
+        for x in range(size)
+        if params.s * points[x]
+        <= params.c * max((agree[x][y] for y in range(size) if y != x), default=0)
+    ]
+
+
+def test_count_pass_matches_the_per_pair_count(monkeypatch):
+    # seeded random codes and families, empty members, a single member,
+    # words of length 64 and symbols near 2**40 (only equality is read, so
+    # nothing depends on q), at several block sizes down to one focus
+    import frameproof_lab.verify as verify
+
+    rng = random.Random(7373)
+    cases = [
+        SubsetFamily(3, (0,)),
+        SubsetFamily(3, (0b101,)),
+        Code(3, 2, ((1, 2),)),
+        SubsetFamily(4, (0b0011, 0, 0b0110, 0b1111, 0b1000)),
+        Code(2, 64, tuple(tuple(rng.randint(1, 2) for _ in range(64)) for _ in range(9))),
+        SubsetFamily(64, tuple(sorted({rng.getrandbits(64) for _ in range(12)}))),
+    ]
+    big = 2**40
+    words = {tuple(rng.randint(big, big + 3) for _ in range(5)) for _ in range(40)}
+    cases.append(Code(big + 3, 5, tuple(sorted(words))))
+    for trial in range(240):
+        if trial % 2:
+            n = rng.randint(1, 9)
+            sets = rng.sample(range(1 << n), min(1 << n, rng.randint(1, 30)))
+            cases.append(SubsetFamily(n, tuple(sets)))
+        else:
+            q, n = rng.randint(2, 6), rng.randint(1, 8)
+            words = {tuple(rng.randint(1, q) for _ in range(n)) for _ in range(rng.randint(1, 30))}
+            cases.append(Code(q, n, tuple(sorted(words))))
+    seen = Counter()
+    for obj in cases:
+        c = rng.randint(2, 6)
+        params = fp(c, rng.randint(1, c - 1))
+        want = _ref_surviving_foci(obj, params)
+        rows = _scan_array(obj)
+        for block in (1, 2 * obj.n + 1, 3 * len(obj) * obj.n, 1 << 18):
+            monkeypatch.setattr(verify, "_FOCUS_BLOCK", block)
+            assert list(_surviving_foci(rows, params)) == want, (obj, params, block)
+        seen["some refuted"] += len(want) < len(obj)
+        seen["some kept"] += bool(want)
+    assert min(seen.values()) >= 60, seen
 
 
 def test_reference_paths_do_not_use_the_kernels(monkeypatch):
